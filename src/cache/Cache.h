@@ -24,8 +24,6 @@
 #ifndef STRUCTSLIM_CACHE_CACHE_H
 #define STRUCTSLIM_CACHE_CACHE_H
 
-#include "support/Simd.h"
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,18 +38,6 @@ struct CacheConfig {
   unsigned Assoc = 8;
   unsigned LineSize = 64;
   unsigned HitLatency = 4; ///< Cycles when this level serves the access.
-};
-
-/// One lookup of a batched access sequence (decoupled pipeline
-/// consumer). \p Repeat extra touches of the line follow the lookup —
-/// the run-length-collapsed tail of consecutive same-line accesses,
-/// which are guaranteed hits of the just-touched way (see
-/// SetAssocCache::repeatMru). \p Index is an opaque caller tag
-/// (original access position) carried through the level cascade.
-struct BatchLineOp {
-  uint64_t Line;
-  uint32_t Repeat;
-  uint32_t Index;
 };
 
 /// One cache level. Addresses are pre-shifted line addresses.
@@ -89,25 +75,6 @@ public:
     return false;
   }
 
-  /// Re-touches the most recently accessed way \p N times — the state
-  /// effect of \p N consecutive accesses to the line access() just
-  /// returned for. Each such access would take the MRU path above:
-  /// advance the set tick and re-age the way, counting a hit. Valid
-  /// only directly after access() (MruWay must still hold the line),
-  /// which the pipeline consumer guarantees by construction.
-  void repeatMru(uint64_t N) {
-    Hits += N;
-    Ages[MruWay] = (SetTick[MruWay / Config.Assoc] += N);
-  }
-
-  /// Batched equivalent of `for (I) { Hit[I] = access(Ops[I].Line);
-  /// repeatMru(Ops[I].Repeat); }` — bit-identical final state and
-  /// counters. Large batches are grouped by set index (stable, so all
-  /// same-set orderings survive) and probed with a branch-free
-  /// word-parallel tag compare across the ways; sets are independent
-  /// (per-set LRU ticks), so cross-set reordering is unobservable.
-  void accessBatch(const BatchLineOp *Ops, size_t N, uint8_t *Hit);
-
   /// Installs \p LineAddr without counting a demand access (prefetch
   /// fill). No-op when already present (refreshes LRU).
   void installPrefetch(uint64_t LineAddr) {
@@ -137,17 +104,6 @@ public:
   }
 
   void resetCounters() { Hits = Misses = PrefetchFills = 0; }
-
-  /// Vector tier accessBatch's way probe dispatches to right now
-  /// (compile-time tier of the Cache.cpp TU, demoted to Scalar when
-  /// forced off). Diagnostics only.
-  static support::simd::Level batchProbeLevel();
-
-  /// Order-independent digest of the complete replacement state (tags,
-  /// ages, set ticks) plus the hit/miss counters. Two caches that
-  /// processed identical access sequences hash equal; the SIMD
-  /// differential tests compare these.
-  uint64_t stateHash() const;
 
 private:
   // Sets are indexed by modulo so non-power-of-two geometries (like a
@@ -193,50 +149,6 @@ private:
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t PrefetchFills = 0;
-  // Reusable accessBatch scratch (counting-sort buckets + sorted
-  // order), so the pipeline consumer's steady state is allocation-free.
-  std::vector<uint32_t> BatchBucket;
-  std::vector<uint32_t> BatchOrder;
-};
-
-/// Per-thread buffer of one quantum round's shared-L3 traffic. The
-/// parallel phase engine routes every L3 operation of a round through
-/// one of these and replays the buffers against the real shared L3 in
-/// thread-id order at the round barrier, reproducing the serial
-/// engine's L3 access order exactly (see runtime/ThreadedRuntime).
-struct L3DeferBuffer {
-  struct Op {
-    uint64_t Line;
-    int32_t Slot; ///< Outcome slot for demand accesses; -1 = prefetch.
-  };
-  std::vector<Op> Ops;
-  std::vector<uint8_t> HitFlags; ///< Per demand slot: 1 = L3 hit.
-
-  /// Records a demand access and returns its outcome slot.
-  int32_t addDemand(uint64_t Line) {
-    int32_t Slot = static_cast<int32_t>(HitFlags.size());
-    Ops.push_back({Line, Slot});
-    HitFlags.push_back(0);
-    return Slot;
-  }
-
-  void addPrefetch(uint64_t Line) { Ops.push_back({Line, -1}); }
-
-  /// Replays the buffered operations against \p L3 in recorded order,
-  /// filling HitFlags for the demand accesses.
-  void replay(SetAssocCache &L3) {
-    for (const Op &O : Ops) {
-      if (O.Slot >= 0)
-        HitFlags[static_cast<size_t>(O.Slot)] = L3.access(O.Line) ? 1 : 0;
-      else
-        L3.installPrefetch(O.Line);
-    }
-  }
-
-  void clear() {
-    Ops.clear();
-    HitFlags.clear();
-  }
 };
 
 } // namespace cache

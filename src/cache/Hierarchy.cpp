@@ -125,84 +125,6 @@ AccessResult MemoryHierarchy::accessSlow(uint64_t Addr, unsigned Size,
   return Result;
 }
 
-void MemoryHierarchy::accessLineDeferred(uint64_t LineAddr,
-                                         L3DeferBuffer &L3Buf,
-                                         unsigned Index,
-                                         DeferredAccess &Out) {
-  if (L1.access(LineAddr)) {
-    Out.Lat[Index] = Config.L1.HitLatency;
-    Out.Served[Index] = MemLevel::L1;
-    return;
-  }
-  if (L2.access(LineAddr)) {
-    Out.Lat[Index] = Config.L2.HitLatency;
-    Out.Served[Index] = MemLevel::L2;
-    return;
-  }
-  Out.Slot[Index] = L3Buf.addDemand(LineAddr);
-}
-
-DeferredAccess MemoryHierarchy::accessDeferred(uint64_t Addr, unsigned Size,
-                                               uint64_t Ip,
-                                               L3DeferBuffer &L3Buf) {
-  uint64_t FirstLine = Addr >> LineShift;
-  uint64_t LastLine = (Addr + Size - 1) >> LineShift;
-
-  DeferredAccess Out;
-  if ((Mode & 1) && !Dtlb.access(Addr)) {
-    Out.TlbMiss = true;
-    Out.TlbLatency = Config.Tlb.WalkLatency;
-  }
-  accessLineDeferred(FirstLine, L3Buf, 0, Out);
-  if (LastLine != FirstLine) {
-    Out.NumLines = 2;
-    accessLineDeferred(LastLine, L3Buf, 1, Out);
-  }
-
-  if (Mode & 2) {
-    uint64_t Candidates[8];
-    unsigned Degree = std::min(Config.PrefetchDegree, 8u);
-    unsigned Count = Prefetcher.observe(Ip, Addr, Config.L1.LineSize,
-                                        Degree, Candidates);
-    for (unsigned I = 0; I != Count; ++I) {
-      L3Buf.addPrefetch(Candidates[I]);
-      L2.installPrefetch(Candidates[I]);
-    }
-  }
-  return Out;
-}
-
-void MemoryHierarchy::simulateLines(const BatchLineOp *Ops, size_t N,
-                                    MemLevel *LevelByIndex,
-                                    std::vector<PendingL3> &L3Out) {
-  BatchHit.resize(N);
-  L1.accessBatch(Ops, N, BatchHit.data());
-
-  // L1 misses cascade to the L2 in original order; the collapsed run
-  // tails (Repeat) never do — after the first access installed the
-  // line, the repeats are L1 hits by construction, already accounted
-  // inside accessBatch.
-  BatchL2Ops.clear();
-  for (size_t I = 0; I != N; ++I) {
-    if (BatchHit[I])
-      LevelByIndex[Ops[I].Index] = MemLevel::L1;
-    else
-      BatchL2Ops.push_back({Ops[I].Line, 0, Ops[I].Index});
-  }
-  if (BatchL2Ops.empty())
-    return;
-
-  size_t M = BatchL2Ops.size();
-  BatchHit.resize(M);
-  L2.accessBatch(BatchL2Ops.data(), M, BatchHit.data());
-  for (size_t I = 0; I != M; ++I) {
-    if (BatchHit[I])
-      LevelByIndex[BatchL2Ops[I].Index] = MemLevel::L2;
-    else
-      L3Out.push_back({BatchL2Ops[I].Line, BatchL2Ops[I].Index});
-  }
-}
-
 void MemoryHierarchy::resetCounters() {
   L1.resetCounters();
   L2.resetCounters();

@@ -19,14 +19,6 @@
 /// no-TLB/no-prefetcher configuration (every calibrated workload)
 /// inlines from this header straight into the interpreter loop.
 ///
-/// Two access paths exist. The direct path (`access`) drives all
-/// levels immediately — the serial engine. The deferred path
-/// (`accessDeferred`) simulates the private L1/L2 immediately but
-/// records shared-L3 traffic into a cache::L3DeferBuffer for ordered
-/// replay at a round barrier — the parallel engine. The L1/L2 contents
-/// never depend on L3 outcomes (fill-on-miss installs regardless of
-/// the serving level), which is what makes the split sound.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef STRUCTSLIM_CACHE_HIERARCHY_H
@@ -52,36 +44,6 @@ struct AccessResult {
   unsigned Latency = 0; ///< Includes the page-walk penalty on TLB miss.
   MemLevel Served = MemLevel::L1;
   bool TlbMiss = false;
-};
-
-/// Outcome of one access whose shared-L3 component is still pending.
-/// Per touched line, either the access resolved privately (Slot == -1,
-/// Lat/Served final) or it reached the L3 (Slot >= 0 indexes the
-/// thread's L3DeferBuffer outcome; Lat/Served are filled at replay).
-struct DeferredAccess {
-  unsigned TlbLatency = 0;
-  unsigned Lat[2] = {0, 0};
-  MemLevel Served[2] = {MemLevel::L1, MemLevel::L1};
-  int32_t Slot[2] = {-1, -1};
-  uint8_t NumLines = 1;
-  bool TlbMiss = false;
-
-  bool isResolved() const { return Slot[0] < 0 && Slot[1] < 0; }
-
-  /// Combines the per-line outcomes exactly as the direct path does:
-  /// latency = TLB walk + the slower line; Served = the slower line's
-  /// level (first line on ties).
-  AccessResult combine() const {
-    AccessResult R;
-    R.TlbMiss = TlbMiss;
-    R.Latency = TlbLatency + Lat[0];
-    R.Served = Served[0];
-    if (NumLines == 2 && Lat[1] > Lat[0]) {
-      R.Latency += Lat[1] - Lat[0];
-      R.Served = Served[1];
-    }
-    return R;
-  }
 };
 
 /// Full hierarchy configuration. Defaults model the Xeon E5-4650L of
@@ -139,9 +101,8 @@ private:
 
 /// One core's view of the memory hierarchy. The L3 may be shared: pass
 /// a common SetAssocCache to every core's hierarchy. Sharing is safe
-/// in the serial interleaved runtime (which never runs two cores'
-/// accesses concurrently) and in the parallel engine (which defers all
-/// L3 traffic to the round barrier via accessDeferred).
+/// in the interleaved runtime, which never runs two cores' accesses
+/// concurrently.
 class MemoryHierarchy {
 public:
   explicit MemoryHierarchy(const HierarchyConfig &Config,
@@ -165,41 +126,6 @@ public:
     }
     return accessSlow(Addr, Size, Ip, FirstLine, LastLine);
   }
-
-  /// The deferred-L3 variant of access(): private L1/L2 are simulated
-  /// immediately; L3 demand accesses and prefetch installs are appended
-  /// to \p L3Buf for ordered replay. Returns the (possibly pending)
-  /// per-line outcome; callers combine() it once L3Buf was replayed.
-  DeferredAccess accessDeferred(uint64_t Addr, unsigned Size, uint64_t Ip,
-                                L3DeferBuffer &L3Buf);
-
-  /// A shared-L3 demand still pending after simulateLines(): the
-  /// pipeline consumer merges the per-thread pending lists back into
-  /// original access order (by Index) before replaying the shared L3,
-  /// reproducing the serial schedule's L3 sequence exactly.
-  struct PendingL3 {
-    uint64_t Line;
-    uint32_t Index;
-  };
-
-  /// Batched mode-0 line cascade for the decoupled pipeline consumer:
-  /// equivalent (bit-identical private cache state and counters) to
-  /// calling access() for each op in order, but with the L1 and L2
-  /// lookups grouped by set (SetAssocCache::accessBatch). For each op,
-  /// either \p LevelByIndex[Ops[I].Index] is set to the private serving
-  /// level, or the line missed both private levels and a PendingL3 with
-  /// the op's Index is appended to \p L3Out (the caller resolves the
-  /// level after shared-L3 replay). Soundness of splitting the levels
-  /// into stages: L1/L2 contents never depend on L3 outcomes
-  /// (fill-on-miss installs regardless of serving level) — the same
-  /// property the parallel engine's deferred path relies on. Requires
-  /// mode() == 0 (no TLB, no prefetcher: both are sequence-sensitive
-  /// and force exact per-access replay).
-  void simulateLines(const BatchLineOp *Ops, size_t N, MemLevel *LevelByIndex,
-                     std::vector<PendingL3> &L3Out);
-
-  uint8_t mode() const { return Mode; }
-  unsigned lineShift() const { return LineShift; }
 
   SetAssocCache &l1() { return L1; }
   SetAssocCache &l2() { return L2; }
@@ -234,17 +160,9 @@ private:
   AccessResult accessSlow(uint64_t Addr, unsigned Size, uint64_t Ip,
                           uint64_t FirstLine, uint64_t LastLine);
 
-  /// L1/L2 for one line in deferred mode; on L1+L2 miss records a
-  /// demand op and reports a pending slot.
-  void accessLineDeferred(uint64_t LineAddr, L3DeferBuffer &L3Buf,
-                          unsigned Index, DeferredAccess &Out);
-
   HierarchyConfig Config;
   SetAssocCache L1;
   SetAssocCache L2;
-  // simulateLines scratch, reused across batches.
-  std::vector<uint8_t> BatchHit;
-  std::vector<BatchLineOp> BatchL2Ops;
   std::unique_ptr<SetAssocCache> OwnedL3;
   SetAssocCache *L3Ptr;
   StridePrefetcher Prefetcher;

@@ -87,13 +87,6 @@ SimCounters countersOf(const runtime::RunResult &R) {
 WorkloadVerdict
 structslim::core::verifyWorkload(const workloads::Workload &W,
                                  const ClosedLoopConfig &Config) {
-  ClosedLoopConfig Cfg = Config;
-  // The inline serial pipeline is the checked oracle; its counters are
-  // schedule- and host-independent, which the JSON byte-determinism
-  // guarantee rests on.
-  Cfg.Driver.Run.Engine = runtime::EngineKind::Serial;
-  Cfg.Driver.Run.Pipeline = runtime::PipelineKind::Inline;
-
   WorkloadVerdict V;
   V.Name = W.name();
   V.Suite = W.suite();
@@ -103,8 +96,8 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
 
   // 1-2. Profile the original layout and run the offline analyzer.
   workloads::WorkloadRun Profiled =
-      workloads::runWorkload(W, Identity, Cfg.Driver, /*Attach=*/true);
-  StructSlimAnalyzer Analyzer(*Profiled.CodeMap, Cfg.Driver.Analysis);
+      workloads::runWorkload(W, Identity, Config.Driver, /*Attach=*/true);
+  StructSlimAnalyzer Analyzer(*Profiled.CodeMap, Config.Driver.Analysis);
   Analyzer.registerLayout(W.hotObjectName(), Hot);
   AnalysisResult Analysis = Analyzer.analyze(Profiled.Merged);
 
@@ -118,7 +111,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.TruncatedStreams = HotObj->TruncatedStreams;
     V.ReservoirTruncated = HotObj->ReservoirTruncated;
     BenefitEstimate Est =
-        estimateSplitBenefit(*HotObj, V.Plan, Cfg.MemoryShare);
+        estimateSplitBenefit(*HotObj, V.Plan, Config.MemoryShare);
     V.PredictedSpeedup = Est.PredictedSpeedup;
   } else {
     V.Plan.ObjectName = W.hotObjectName();
@@ -128,7 +121,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
 
   // Baseline: the original layout, profiler detached.
   workloads::WorkloadRun Baseline =
-      workloads::runWorkload(W, Identity, Cfg.Driver, /*Attach=*/false);
+      workloads::runWorkload(W, Identity, Config.Driver, /*Attach=*/false);
   V.Before = countersOf(Baseline.Result);
 
   // 4. Apply the plan and re-simulate under the identical RunConfig.
@@ -139,11 +132,11 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.After = V.Before;
   } else {
     // Path 1: rewrite the built IR through the allocation token.
-    runtime::RunConfig DetachedCfg = Cfg.Driver.Run;
+    runtime::RunConfig DetachedCfg = Config.Driver.Run;
     DetachedCfg.AttachProfiler = false;
     runtime::ThreadedRuntime Runtime(DetachedCfg);
     workloads::BuiltWorkload Built =
-        W.build(Runtime.machine(), Identity, Cfg.Driver.Scale);
+        W.build(Runtime.machine(), Identity, Config.Driver.Scale);
 
     std::string Err;
     std::unique_ptr<ir::Program> Split;
@@ -176,7 +169,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
       V.FallbackReason = Err;
       transform::FieldMap SplitMap(Hot, V.Plan);
       workloads::WorkloadRun AfterRun =
-          workloads::runWorkload(W, SplitMap, Cfg.Driver, /*Attach=*/false);
+          workloads::runWorkload(W, SplitMap, Config.Driver, /*Attach=*/false);
       V.After = countersOf(AfterRun.Result);
       V.ResultsMatch =
           AfterRun.Result.ReturnValues == Baseline.Result.ReturnValues;
@@ -336,6 +329,8 @@ structslim::core::renderVerifyJson(const VerifyReport &Report,
      << ",\n";
   OS << "    \"min_unique_addrs\": " << D.Analysis.MinUniqueAddrs << ",\n";
   OS << "    \"memory_share\": " << jsonNumber(Config.MemoryShare) << ",\n";
+  // Constant: there is one simulation placement; the key stays so the
+  // document's schema is unchanged.
   OS << "    \"pipeline\": \"inline\"\n";
   OS << "  },\n";
 

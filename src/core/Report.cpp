@@ -354,15 +354,6 @@ std::string structslim::core::renderJsonReport(
   OS << "    \"render_seconds\": " << jsonNumber(Stats.RenderSeconds) << "\n";
   OS << "  },\n";
 
-  // Online-pipeline health, recorded by the profiled run itself
-  // (schema-additive: absent counters decode as zero).
-  OS << "  \"pipeline\": {\n";
-  OS << "    \"queue_depth_max\": " << Stats.QueueDepthMax << ",\n";
-  OS << "    \"producer_stalls\": " << Stats.ProducerStalls << ",\n";
-  OS << "    \"consumer_batches\": " << Stats.ConsumerBatches << ",\n";
-  OS << "    \"queue_capacity\": " << Stats.PipelineCapacity << "\n";
-  OS << "  },\n";
-
   // Bounded-reservoir sampling, recorded by the profiled run itself
   // (all zero when the run kept every sample; schema-additive).
   OS << "  \"sampling\": {\n";
@@ -402,16 +393,6 @@ std::string structslim::core::renderStatsText(const AnalysisResult &Result,
      << " object(s), " << Result.Stats.StreamsAnalyzed << " stream(s), jobs="
      << Stats.Jobs << ")\n";
   OS << "render:  " << formatDouble(Stats.RenderSeconds, 6) << "s\n";
-  // Only decoupled-pipeline runs record these; keep inline-run output
-  // byte-for-byte what it was before the counters existed.
-  if (Stats.ConsumerBatches) {
-    OS << "pipeline: max queue depth " << Stats.QueueDepthMax
-       << ", producer stalls " << Stats.ProducerStalls
-       << ", consumer batches " << Stats.ConsumerBatches;
-    if (Stats.PipelineCapacity)
-      OS << ", queue capacity " << Stats.PipelineCapacity;
-    OS << "\n";
-  }
   // Only reservoir-bounded runs record these; unbounded-run output
   // stays byte-for-byte what it was before the reservoir existed.
   if (Stats.ReservoirCapacity) {

@@ -43,14 +43,6 @@ struct ReportStats {
   uint64_t ShardsSkipped = 0;
   /// High-water mark of decoded profiles resident during the merge.
   uint64_t PeakResidentProfiles = 0;
-  /// Online decoupled-pipeline counters carried in the merged profile
-  /// (zero when the profiled run simulated inline or the shards predate
-  /// the pipeline); schema-additive, mirroring PeakResidentProfiles.
-  uint64_t QueueDepthMax = 0;
-  uint64_t ProducerStalls = 0;
-  uint64_t ConsumerBatches = 0;
-  /// Resolved per-lane queue capacity (records); max across shards.
-  uint64_t PipelineCapacity = 0;
   /// Bounded-reservoir sampling counters carried in the merged profile
   /// (all zero when the profiled run kept every sample). Unlike the
   /// timing fields these are deterministic: reservoir behavior depends

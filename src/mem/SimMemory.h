@@ -79,9 +79,7 @@ private:
 /// mask, a tag compare, and a fixed-size memcpy — no unordered_map
 /// probe. Entries are validated against SimMemory's epoch, which moves
 /// only when a page is materialized; straddling accesses and absent
-/// pages fall back to SimMemory. Safe under the parallel engine's
-/// buffered rounds: threads only read shared memory mid-round (stores
-/// are buffered), so neither pages nor the epoch move underneath us.
+/// pages fall back to SimMemory.
 class PageAccessCache {
 public:
   explicit PageAccessCache(SimMemory &Mem) : Mem(&Mem) {}

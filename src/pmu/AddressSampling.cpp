@@ -73,12 +73,6 @@ void PmuModel::governorEpoch() {
 
 void PmuModel::deliver(uint64_t Ip, uint64_t EffAddr, uint8_t AccessSize,
                        bool IsWrite, const cache::AccessResult &Result) {
-  if (!Sink) {
-    // Disarmed between tick() and delivery (decoupled pipelines resolve
-    // the sample after selection) — drop, per the setSink() contract.
-    ++SamplesDroppedDisarmed;
-    return;
-  }
   AddressSample Sample;
   Sample.ThreadId = ThreadId;
   Sample.Ip = Ip;

@@ -94,9 +94,9 @@ public:
 
   /// Sample delivery with an explicitly captured call path (call-site
   /// IPs, outermost first, excluding the sampled instruction). Used by
-  /// the parallel engine, which resolves samples at the round barrier
-  /// when the interrupted thread's live stack has already moved on.
-  /// Default: ignore the path and deliver through onSample().
+  /// the sample reservoir, which releases samples at phase end when the
+  /// interrupted thread's live stack has already moved on. Default:
+  /// ignore the path and deliver through onSample().
   virtual void onSampleAt(const AddressSample &Sample, const uint64_t *Path,
                           size_t PathLen) {
     (void)Path;
@@ -114,14 +114,6 @@ public:
 
   /// Arms the PMU with \p Sink; a null sink disables sampling (the
   /// "profiler detached" configuration used to measure overhead).
-  ///
-  /// Disarm contract: a sample selected by tick() while armed but whose
-  /// delivery (deliver()/deliverDeferred()) happens after a
-  /// setSink(nullptr) is dropped — not delivered, not counted in
-  /// getSamplesDelivered(); getSamplesDroppedDisarmed() counts it. The
-  /// parallel engine hits this path: ticks happen at access time,
-  /// delivery at the round barrier, and the profiler can detach in
-  /// between.
   void setSink(SampleSink *Sink) { this->Sink = Sink; }
 
   /// Observes one memory access; delivers a sample when the period
@@ -135,42 +127,7 @@ public:
     deliver(Ip, EffAddr, AccessSize, IsWrite, Result);
   }
 
-  /// Advances the period counter for one access and reports whether it
-  /// selects this access for sampling (consuming one jitter draw when
-  /// it does). The selection never depends on the access outcome, so
-  /// the parallel engine can tick at access time and deliver the
-  /// completed sample later via deliverDeferred().
-  bool tick(bool IsWrite) {
-    if (!Sink || (SkipStores && IsWrite))
-      return false;
-    if (GovernorOn && --EpochLeft == 0)
-      governorEpoch();
-    if (--Countdown != 0)
-      return false;
-    ++SamplesSelected;
-    Countdown = nextCountdown();
-    return true;
-  }
-
-  /// Delivers a sample whose payload (latency, serving level) was
-  /// resolved after the tick() that selected it. Dropped (and counted
-  /// in getSamplesDroppedDisarmed()) if the PMU was disarmed between
-  /// selection and delivery — see setSink().
-  void deliverDeferred(AddressSample Sample, const uint64_t *Path,
-                       size_t PathLen) {
-    if (!Sink) {
-      ++SamplesDroppedDisarmed;
-      return;
-    }
-    Sample.ThreadId = ThreadId;
-    ++SamplesDelivered;
-    Sink->onSampleAt(Sample, Path, PathLen);
-  }
-
   uint64_t getSamplesDelivered() const { return SamplesDelivered; }
-  uint64_t getSamplesDroppedDisarmed() const {
-    return SamplesDroppedDisarmed;
-  }
   const SamplingConfig &getConfig() const { return Config; }
   uint32_t getThreadId() const { return ThreadId; }
 
@@ -184,6 +141,21 @@ public:
   }
 
 private:
+  /// Advances the period counter for one access and reports whether it
+  /// selects this access for sampling (consuming one jitter draw when
+  /// it does). The selection never depends on the access outcome.
+  bool tick(bool IsWrite) {
+    if (!Sink || (SkipStores && IsWrite))
+      return false;
+    if (GovernorOn && --EpochLeft == 0)
+      governorEpoch();
+    if (--Countdown != 0)
+      return false;
+    ++SamplesSelected;
+    Countdown = nextCountdown();
+    return true;
+  }
+
   void deliver(uint64_t Ip, uint64_t EffAddr, uint8_t AccessSize,
                bool IsWrite, const cache::AccessResult &Result);
   uint64_t nextCountdown();
@@ -195,7 +167,6 @@ private:
   Rng Jitter;
   uint64_t Countdown;
   uint64_t SamplesDelivered = 0;
-  uint64_t SamplesDroppedDisarmed = 0;
   bool SkipStores; ///< Precomputed: PEBS-LL monitors loads only.
   // Overhead governor state (all dormant when GovernorOn is false; the
   // hot path then pays one predictable branch).

@@ -3,9 +3,9 @@
 #include "pmu/PerfEventBackend.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #ifdef __linux__
@@ -23,30 +23,43 @@ PerfEventSampler::PerfEventSampler(const Config &Config) : Cfg(Config) {}
 
 PerfEventSampler::~PerfEventSampler() { stop(); }
 
-#ifdef __linux__
-
 namespace {
 
-/// Reads the raw event encoding of the precise "mem-loads" event from
-/// sysfs (e.g. "event=0xcd,umask=0x1,ldlat=3" on Intel). Returns false
-/// when the PMU does not advertise it.
-bool readMemLoadsEncoding(uint64_t &EventConfig, uint64_t &LdLatConfig1,
-                          unsigned LoadLatency) {
-  std::ifstream In("/sys/bus/event_source/devices/cpu/events/mem-loads");
-  if (!In)
-    return false;
-  std::string Spec;
-  std::getline(In, Spec);
+/// Parses one term value with the prefixes strtoull's base 0 accepts;
+/// the whole text must be consumed.
+bool parseTermValue(std::string_view Text, uint64_t &Value) {
+  int Base = 10;
+  if (Text.size() > 2 && Text[0] == '0' && (Text[1] == 'x' || Text[1] == 'X')) {
+    Base = 16;
+    Text.remove_prefix(2);
+  } else if (Text.size() > 1 && Text[0] == '0') {
+    Base = 8;
+    Text.remove_prefix(1);
+  }
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value, Base);
+  return Ec == std::errc() && Ptr == End;
+}
 
+} // namespace
+
+bool PerfEventSampler::parseEventEncoding(std::string_view Spec,
+                                          unsigned LoadLatency,
+                                          uint64_t &EventConfig,
+                                          uint64_t &LdLatConfig1) {
   EventConfig = 0;
   LdLatConfig1 = 0;
-  std::istringstream SS(Spec);
-  std::string Term;
-  while (std::getline(SS, Term, ',')) {
+  while (!Spec.empty()) {
+    size_t Comma = Spec.find(',');
+    std::string_view Term = Spec.substr(0, Comma);
+    Spec = Comma == std::string_view::npos ? std::string_view()
+                                           : Spec.substr(Comma + 1);
     size_t Eq = Term.find('=');
-    std::string Key = Term.substr(0, Eq);
-    uint64_t Value =
-        Eq == std::string::npos ? 1 : std::stoull(Term.substr(Eq + 1), nullptr, 0);
+    std::string_view Key = Term.substr(0, Eq);
+    uint64_t Value = 1;
+    if (Eq != std::string_view::npos &&
+        !parseTermValue(Term.substr(Eq + 1), Value))
+      return false;
     if (Key == "event")
       EventConfig |= Value;
     else if (Key == "umask")
@@ -55,6 +68,33 @@ bool readMemLoadsEncoding(uint64_t &EventConfig, uint64_t &LdLatConfig1,
       LdLatConfig1 = LoadLatency ? LoadLatency : Value;
   }
   return EventConfig != 0;
+}
+
+#ifdef __linux__
+
+namespace {
+
+/// Reads the raw event encoding of the precise "mem-loads" event from
+/// sysfs (e.g. "event=0xcd,umask=0x1,ldlat=3" on Intel). Returns false,
+/// filling \p Reason when non-null, when the PMU does not advertise the
+/// event or advertises an encoding that does not parse.
+bool readMemLoadsEncoding(uint64_t &EventConfig, uint64_t &LdLatConfig1,
+                          unsigned LoadLatency, std::string *Reason) {
+  std::ifstream In("/sys/bus/event_source/devices/cpu/events/mem-loads");
+  std::string Spec;
+  if (!In || !std::getline(In, Spec)) {
+    if (Reason)
+      *Reason = "no precise mem-loads event advertised by the cpu PMU "
+                "(non-Intel host, virtualized PMU, or no PEBS)";
+    return false;
+  }
+  if (!PerfEventSampler::parseEventEncoding(Spec, LoadLatency, EventConfig,
+                                            LdLatConfig1)) {
+    if (Reason)
+      *Reason = "malformed mem-loads event encoding '" + Spec + "' in sysfs";
+    return false;
+  }
+  return true;
 }
 
 long perfEventOpen(perf_event_attr *Attr, pid_t Pid, int Cpu, int GroupFd,
@@ -68,7 +108,7 @@ perf_event_attr makeAttr(const PerfEventSampler::Config &Cfg) {
   Attr.size = sizeof(Attr);
   Attr.type = PERF_TYPE_RAW;
   uint64_t EventConfig = 0, LdLat = 0;
-  readMemLoadsEncoding(EventConfig, LdLat, Cfg.LoadLatency);
+  readMemLoadsEncoding(EventConfig, LdLat, Cfg.LoadLatency, nullptr);
   Attr.config = EventConfig;
   Attr.config1 = LdLat;
   Attr.sample_period = Cfg.Period;
@@ -85,12 +125,8 @@ perf_event_attr makeAttr(const PerfEventSampler::Config &Cfg) {
 
 bool PerfEventSampler::isSupported(std::string *Reason) {
   uint64_t EventConfig = 0, LdLat = 0;
-  if (!readMemLoadsEncoding(EventConfig, LdLat, 3)) {
-    if (Reason)
-      *Reason = "no precise mem-loads event advertised by the cpu PMU "
-                "(non-Intel host, virtualized PMU, or no PEBS)";
+  if (!readMemLoadsEncoding(EventConfig, LdLat, 3, Reason))
     return false;
-  }
   Config Probe;
   perf_event_attr Attr = makeAttr(Probe);
   long Fd = perfEventOpen(&Attr, 0, -1, -1, 0);

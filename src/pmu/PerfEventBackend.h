@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace structslim {
 namespace pmu {
@@ -52,6 +53,17 @@ public:
   /// Probes whether precise load sampling can be opened on this
   /// host/kernel/permission level. Fills \p Reason when not.
   static bool isSupported(std::string *Reason = nullptr);
+
+  /// Parses a sysfs event encoding such as "event=0xcd,umask=0x1,ldlat=3"
+  /// into the raw perf config (event | umask << 8) and config1 (the
+  /// load-latency threshold; a nonzero \p LoadLatency overrides the
+  /// advertised one). Term values are decimal, 0x-hex or 0-octal; a
+  /// term without '=' counts as 1. Returns false — the event is then
+  /// unsupported — when a value is not a number that fits in 64 bits or
+  /// when no event code results.
+  static bool parseEventEncoding(std::string_view Spec, unsigned LoadLatency,
+                                 uint64_t &EventConfig,
+                                 uint64_t &LdLatConfig1);
 
   /// Opens the event for the calling thread and enables sampling into
   /// \p Sink. Returns false with \p Error on failure.

@@ -140,18 +140,6 @@ public:
   uint64_t Instructions = 0;       ///< Executed instruction count.
   uint64_t MemoryAccesses = 0;
   uint64_t Cycles = 0;             ///< Simulated execution cycles.
-  // Decoupled-pipeline health counters (runtime/SimPipeline), zero for
-  // inline-simulation runs. Carried on one profile per phase so the
-  // merge reproduces run totals. Host-timing dependent: serialized in
-  // the binary format (schema-additive v3 extension) but excluded from
-  // the canonical text form, which the bit-identity tests compare.
-  uint64_t QueueDepthMax = 0;   ///< Deepest drain batch (records); merge: max.
-  uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events; merge: sum.
-  uint64_t ConsumerBatches = 0; ///< Drain batches processed; merge: sum.
-  /// Resolved per-lane access-queue capacity in records (RunConfig
-  /// resolution rounds the requested PipelineCapacity to a power of
-  /// two); zero for inline runs and pre-extension files. Merge: max.
-  uint64_t PipelineCapacity = 0;
   // Bounded-memory sampling metadata (runtime/SampleReservoir + the PMU
   // overhead governor), all zero/empty for unbounded runs and
   // pre-extension files. Serialized as an optional sixth v3 section —

@@ -273,10 +273,7 @@ static std::string profileToStringV3(const Profile &P) {
   std::string Payload[NumV3Sections];
   uint64_t Counts[NumV3Sections] = {};
 
-  // meta: one record of eight varints, plus the schema-additive
-  // pipeline-counter triple (readers of the original layout stop after
-  // eight; this reader detects the extension by the section not being
-  // exhausted, so old files decode with zero counters).
+  // meta: one record of eight varints.
   {
     std::string &Out = Payload[V3Meta];
     appendVarint(Out, P.ThreadId);
@@ -287,10 +284,6 @@ static std::string profileToStringV3(const Profile &P) {
     appendVarint(Out, P.Instructions);
     appendVarint(Out, P.MemoryAccesses);
     appendVarint(Out, P.Cycles);
-    appendVarint(Out, P.QueueDepthMax);
-    appendVarint(Out, P.ProducerStalls);
-    appendVarint(Out, P.ConsumerBatches);
-    appendVarint(Out, P.PipelineCapacity);
     Counts[V3Meta] = 1;
   }
 
@@ -726,16 +719,13 @@ static std::optional<Profile> readProfileV3(std::string_view Data,
     P.MemoryAccesses = R.readVarint();
     P.Cycles = R.readVarint();
     if (R.ok() && !R.atEnd()) {
-      // Schema-additive extension: pipeline counters. Files written
-      // before the decoupled pipeline end after the eight base fields
-      // and keep the zero defaults.
-      P.QueueDepthMax = R.readVarint();
-      P.ProducerStalls = R.readVarint();
-      P.ConsumerBatches = R.readVarint();
+      // Shards from older writers carry three (eleven fields) or four
+      // (twelve fields) retired pipeline counters after the base
+      // fields; skip them so those shards keep loading.
+      for (int I = 0; I != 3; ++I)
+        R.readVarint();
       if (R.ok() && !R.atEnd())
-        // Second extension step: the resolved access-queue capacity.
-        // Files from the first extension end after eleven fields.
-        P.PipelineCapacity = R.readVarint();
+        R.readVarint();
     }
     if (!R.ok() || ThreadId > 0xffffffffull)
       return SectionFail(V3Meta, "record malformed");

@@ -61,8 +61,8 @@ public:
   /// when SamplingConfig::ReservoirCapacity is nonzero).
   SampleReservoir(pmu::SampleSink &Inner, uint64_t Capacity, uint64_t Seed);
 
-  /// Captures the live call path at offer time (serial inline engine;
-  /// the decoupled/parallel pipelines pass explicit paths instead).
+  /// Captures the live call path at offer time (onSampleAt callers pass
+  /// explicit paths instead).
   void setCallPathProvider(const CallPathProvider *Provider) {
     this->Provider = Provider;
   }

@@ -3,20 +3,12 @@
 #include "runtime/ThreadedRuntime.h"
 
 #include "profile/ProfileIO.h"
-#include "runtime/DeferredRound.h"
-#include "runtime/ParallelSimPipeline.h"
 #include "runtime/ProfileBuilder.h"
 #include "runtime/SampleReservoir.h"
-#include "runtime/SimPipeline.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <unordered_set>
 
 using namespace structslim;
 using namespace structslim::runtime;
@@ -33,8 +25,7 @@ struct PhaseThread {
   bool Alive = true;
 };
 
-/// The reference engine: deterministic round-robin on the calling
-/// thread.
+/// Deterministic round-robin on the calling thread.
 void runSerialLoop(const RunConfig &Config, std::vector<PhaseThread> &States) {
   if (States.size() == 1) {
     // One logical thread: there is no interleave to reproduce, so the
@@ -67,148 +58,10 @@ void runSerialLoop(const RunConfig &Config, std::vector<PhaseThread> &States) {
   }
 }
 
-/// The parallel engine: each alive thread's quantum runs as an
-/// independent pool task (the fork-join IS the round barrier), then all
-/// process-shared effects commit in thread-id order — so the result is
-/// bit-identical to runSerialLoop on the same inputs.
-void runParallelLoop(const RunConfig &Config, Machine &M,
-                     std::vector<PhaseThread> &States,
-                     ParallelSimPipeline *Pipe) {
-  support::ThreadPool &Pool = support::ThreadPool::global();
-  Pool.ensureWorkers(static_cast<unsigned>(States.size()));
-
-  const size_t N = States.size();
-  std::vector<DeferredRound> Rounds(N);
-  std::vector<uint64_t> StartInstr(N, 0);
-  std::vector<char> Ran(N, 0);
-  std::vector<char> AliveAfter(N, 0);
-  std::vector<std::function<void()>> Tasks;
-  Tasks.reserve(N);
-  // Bytes (and their pages, as a cheap filter) written this round by
-  // threads already committed — what a later thread's serial-schedule
-  // reads would have observed.
-  std::unordered_set<uint64_t> LowerBytes;
-  std::unordered_set<uint64_t> LowerPages;
-
-  size_t AliveCount = N;
-  while (AliveCount != 0) {
-    Tasks.clear();
-    std::fill(Ran.begin(), Ran.end(), 0);
-    for (size_t T = 0; T != N; ++T) {
-      if (!States[T].Alive)
-        continue;
-      Ran[T] = 1;
-      Tasks.push_back([&Config, &States, &Rounds, &StartInstr, &AliveAfter,
-                       T] {
-        PhaseThread &S = States[T];
-        DeferredRound &D = Rounds[T];
-        D.beginRound();
-        S.Interp->setDeferredRound(&D);
-        StartInstr[T] = S.Interp->getStats().Instructions;
-        AliveAfter[T] = S.Interp->step(Config.Quantum) ? 1 : 0;
-      });
-    }
-    Pool.run(Tasks);
-
-    // Round barrier: commit every thread's buffered effects in
-    // thread-id order, reproducing the serial schedule.
-    LowerBytes.clear();
-    LowerPages.clear();
-    for (size_t T = 0; T != N; ++T) {
-      if (!Ran[T])
-        continue;
-      PhaseThread &S = States[T];
-      DeferredRound &D = Rounds[T];
-
-      // (1) Conflict check: a shared-memory read of a byte some
-      // lower-id thread wrote this round would have seen the new value
-      // under the serial schedule but saw the stale one here. Such
-      // quantum-grained sharing is outside the supported model; fail
-      // deterministically rather than diverge silently.
-      if (!LowerBytes.empty()) {
-        for (const auto &RR : D.ReadRanges) {
-          uint64_t FirstPage = RR.first >> mem::SimMemory::PageBits;
-          uint64_t LastPage =
-              (RR.first + RR.second - 1) >> mem::SimMemory::PageBits;
-          if (!LowerPages.count(FirstPage) &&
-              (LastPage == FirstPage || !LowerPages.count(LastPage)))
-            continue;
-          for (uint64_t B = 0; B != RR.second; ++B)
-            if (LowerBytes.count(RR.first + B))
-              fatalError("parallel engine: cross-thread read-after-write "
-                         "within one quantum round (thread " +
-                         std::to_string(T) + ", address " +
-                         std::to_string(RR.first + B) +
-                         "); run this phase with EngineKind::Serial");
-        }
-      }
-
-      // (2) Commit the store overlay to shared memory.
-      for (const auto &KV : D.StoreBytes)
-        M.Memory.write(KV.first, 1, KV.second);
-
-      // (3)+(4) Replay this thread's shared-L3 traffic, account the
-      // deferred latencies, and deliver parked PMU samples — unless
-      // the lane pipeline is attached: then the round produced access
-      // records instead (D.L3 and D.Recs are empty) and the pipeline's
-      // merge replays and delivers after commitLane below.
-      if (!Pipe) {
-        D.L3.replay(S.Hierarchy->l3());
-        S.Interp->resolveDeferredRound();
-      }
-
-      // (5) A thread paused in front of Alloc/Free finishes its
-      // quantum here, in commit order, with direct execution.
-      if (D.Paused) {
-        D.RoundMode = DeferredRound::Mode::Committing;
-        D.Paused = false;
-        uint64_t Done = S.Interp->getStats().Instructions - StartInstr[T];
-        AliveAfter[T] = S.Interp->step(Config.Quantum - Done) ? 1 : 0;
-      }
-      S.Interp->setDeferredRound(nullptr);
-
-      // (5b) Cut this lane's merge segment: everything it produced
-      // this round — including the committing remainder — is now
-      // earlier in serial order than anything a higher-id thread will
-      // commit, so the segment append order is the serial schedule.
-      if (Pipe)
-        Pipe->commitLane(T);
-
-      // (6) Publish this thread's write footprint for the checks of
-      // higher-id threads.
-      if (T + 1 != N) {
-        for (const auto &WR : D.WriteRanges) {
-          for (uint64_t B = 0; B != WR.second; ++B) {
-            LowerBytes.insert(WR.first + B);
-            LowerPages.insert((WR.first + B) >> mem::SimMemory::PageBits);
-          }
-        }
-      }
-
-      if (S.Interp->getStats().Instructions > Config.InstructionBudget)
-        fatalError("thread exceeded its instruction budget");
-      if (!AliveAfter[T]) {
-        S.Alive = false;
-        --AliveCount;
-      }
-    }
-  }
-}
-
 } // namespace
 
 ThreadedRuntime::ThreadedRuntime(RunConfig Config)
     : Config(std::move(Config)) {
-  // Resolve the access-queue capacity here, once, rather than relying
-  // on ring internals to clean up the value later: zero is a
-  // configuration error, anything else rounds up to a power of two
-  // with a 1024-record floor (multi-slot sampled groups must fit).
-  if (this->Config.PipelineCapacity == 0)
-    fatalError("RunConfig::PipelineCapacity must be nonzero (default 8192)");
-  size_t Cap = 1024;
-  while (Cap < this->Config.PipelineCapacity)
-    Cap *= 2;
-  this->Config.PipelineCapacity = Cap;
   SharedL3 = std::make_unique<cache::SetAssocCache>(this->Config.Hierarchy.L3);
 }
 
@@ -276,152 +129,17 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     States.push_back(std::move(S));
   }
 
-  // Engine selection. Single-thread phases and traced runs always use
-  // the serial loop; Auto additionally requires a multicore host
-  // (BENCH_engine.json: on one core the parallel engine is a pure
-  // slowdown, so the fallback must engage).
-  bool UseParallel = false;
-  if (Threads.size() > 1 && !Tracer) {
-    if (Config.Engine == EngineKind::Parallel)
-      UseParallel = true;
-    else if (Config.Engine == EngineKind::Auto)
-      UseParallel = support::ThreadPool::defaultThreadCount() > 1;
-  }
-  if (UseParallel)
-    ++Accum.ParallelPhases;
-  else
-    ++Accum.SerialPhases;
-  if (std::getenv("STRUCTSLIM_LOG_ENGINE")) {
-    const char *Requested = Config.Engine == EngineKind::Auto     ? "auto"
-                            : Config.Engine == EngineKind::Serial ? "serial"
-                                                                  : "parallel";
-    std::fprintf(stderr,
-                 "structslim: phase %llu: engine=%s (requested=%s, "
-                 "threads=%zu, host-threads=%u, core=%s)\n",
-                 static_cast<unsigned long long>(Accum.SerialPhases +
-                                                 Accum.ParallelPhases),
-                 UseParallel ? "parallel" : "serial", Requested,
-                 Threads.size(), support::ThreadPool::defaultThreadCount(),
-                 Config.ReferenceInterpreter ? "reference" : "predecoded");
-  }
-
-  // Pipeline selection for serial-engine phases. A tracer forces
-  // inline simulation: it observes the per-access outcome at access
-  // time. Decoupled records carry an 8-bit thread index, which every
-  // realistic phase fits (fall back inline otherwise).
-  bool UseDecoupled = false;
-  if (!UseParallel && !Tracer && States.size() <= 256 &&
-      Config.Pipeline != PipelineKind::Inline)
-    UseDecoupled = true;
-
-  // Pipeline selection for parallel-engine phases: one lane ring per
-  // thread, merged against the shared L3 in serial segment order.
-  // Requires hierarchy mode 0 (the batch replay precondition; with a
-  // TLB or prefetcher the deferred-round machinery stays in charge).
-  // Auto engages it on multi-core hosts, where the lane workers and
-  // merge actually overlap execution; forcing PipelineKind::Decoupled
-  // takes the (still bit-identical) inline-drain path on one core.
-  bool UseParallelDecoupled = false;
-  if (UseParallel && States.size() <= 256 &&
-      States[0].Hierarchy->mode() == 0) {
-    if (Config.Pipeline == PipelineKind::Decoupled)
-      UseParallelDecoupled = true;
-    else if (Config.Pipeline == PipelineKind::Auto)
-      UseParallelDecoupled = support::ThreadPool::defaultThreadCount() > 1;
-  }
-
-  std::unique_ptr<AccessQueue> Queue;
-  std::unique_ptr<SimPipeline> Pipe;
-  std::vector<std::unique_ptr<AccessQueue>> LaneQueues;
-  std::unique_ptr<ParallelSimPipeline> LanePipe;
-  if (UseParallelDecoupled) {
-    bool ThreadedConsumers = support::ThreadPool::defaultThreadCount() > 1;
-    std::vector<AccessQueue *> Qs;
-    std::vector<ParallelSimPipeline::Lane> Lanes;
-    Qs.reserve(States.size());
-    Lanes.reserve(States.size());
-    for (PhaseThread &S : States) {
-      LaneQueues.push_back(std::make_unique<AccessQueue>(
-          Config.PipelineCapacity, S.Hierarchy->lineShift(),
-          /*CollapseRuns=*/true));
-      Qs.push_back(LaneQueues.back().get());
-      Lanes.push_back(
-          {S.Hierarchy.get(), Config.AttachProfiler ? S.Pmu.get() : nullptr});
-    }
-    LanePipe = std::make_unique<ParallelSimPipeline>(
-        std::move(Qs), std::move(Lanes), ThreadedConsumers);
-    LanePipe->start();
-    for (size_t T = 0; T != States.size(); ++T)
-      States[T].Interp->setAccessQueue(LaneQueues[T].get(),
-                                       static_cast<uint8_t>(T));
-  }
-  if (UseDecoupled) {
-    // The consumer runs on its own thread only when the host actually
-    // has a core for it; on one core it would merely time-share with
-    // the producer, so the producer drains the ring inline in batches.
-    bool ThreadedConsumer = support::ThreadPool::defaultThreadCount() > 1;
-    Queue = std::make_unique<AccessQueue>(
-        Config.PipelineCapacity, States[0].Hierarchy->lineShift(),
-        /*CollapseRuns=*/States[0].Hierarchy->mode() == 0);
-    std::vector<SimPipeline::Lane> Lanes;
-    Lanes.reserve(States.size());
-    for (PhaseThread &S : States)
-      Lanes.push_back(
-          {S.Hierarchy.get(), Config.AttachProfiler ? S.Pmu.get() : nullptr});
-    Pipe = std::make_unique<SimPipeline>(*Queue, std::move(Lanes),
-                                         ThreadedConsumer);
-    Pipe->start();
-    for (size_t T = 0; T != States.size(); ++T)
-      States[T].Interp->setAccessQueue(Queue.get(), static_cast<uint8_t>(T));
-  }
-
+  ++Accum.SerialPhases;
   auto Begin = std::chrono::steady_clock::now();
-  if (UseParallel)
-    runParallelLoop(Config, M, States, LanePipe.get());
-  else
-    runSerialLoop(Config, States);
-  if (Pipe) {
-    Pipe->finish();
-    for (PhaseThread &S : States)
-      S.Interp->setAccessQueue(nullptr, 0);
-  }
-  if (LanePipe) {
-    LanePipe->finish();
-    for (PhaseThread &S : States)
-      S.Interp->setAccessQueue(nullptr, 0);
-  }
+  runSerialLoop(Config, States);
   auto End = std::chrono::steady_clock::now();
   Accum.WallSeconds +=
       std::chrono::duration<double>(End - Begin).count();
-  if (Pipe) {
-    Accum.QueueDepthMax = std::max(Accum.QueueDepthMax, Pipe->queueDepthMax());
-    Accum.ProducerStalls += Queue->producerStalls();
-    Accum.ConsumerBatches += Pipe->consumerBatches();
-    Accum.PipelineCapacity =
-        std::max(Accum.PipelineCapacity,
-                 static_cast<uint64_t>(Queue->capacity()));
-  }
-  if (LanePipe) {
-    Accum.QueueDepthMax =
-        std::max(Accum.QueueDepthMax, LanePipe->queueDepthMax());
-    for (const auto &Q : LaneQueues)
-      Accum.ProducerStalls += Q->producerStalls();
-    Accum.ConsumerBatches += LanePipe->consumerBatches();
-    Accum.PipelineCapacity =
-        std::max(Accum.PipelineCapacity,
-                 static_cast<uint64_t>(LaneQueues[0]->capacity()));
-  }
 
   // Fold this phase's results into the accumulated run result.
   uint64_t PhaseMaxCycles = 0;
-  for (size_t T = 0; T != States.size(); ++T) {
-    PhaseThread &S = States[T];
+  for (PhaseThread &S : States) {
     RunStats Stats = S.Interp->getStats();
-    if (Pipe) // Latency cycles the consumer accrued on this thread's
-              // behalf; the inline engine adds them in memAccess.
-      Stats.Cycles += Pipe->cyclesFor(T);
-    if (LanePipe)
-      Stats.Cycles += LanePipe->cyclesFor(T);
     // Charge the simulated sampling-interrupt cost to the thread that
     // took the samples.
     uint64_t Samples = S.Pmu->getSamplesDelivered();
@@ -454,16 +172,8 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
         Accum.ReservoirEvictions += Prof.ReservoirEvictions;
         Accum.ReservoirPeakBytes += Prof.ReservoirPeakBytes;
       }
-      // Governor metadata is engine-invariant (per-thread tick order is
-      // the same in every engine), so it can live on the in-memory
-      // profile without breaking the engine-identity comparisons.
       Prof.SampleBudget = Config.Sampling.SampleBudgetPerMAccess;
       Prof.EffectivePeriods = S.Pmu->getPeriodTrajectory();
-      // Pipeline counters deliberately stay off the in-memory profiles:
-      // the engine-identity contract compares per-thread profiles
-      // between the inline and decoupled simulators, and the counters
-      // are host-timing diagnostics (like WallSeconds). dumpProfiles
-      // stamps them onto the first shard when given the RunResult.
       Accum.Profiles.push_back(std::move(Prof));
     }
   }
@@ -475,32 +185,14 @@ structslim::runtime::dumpProfiles(const std::vector<profile::Profile> &Profiles,
                                   const std::string &Dir,
                                   const std::string &Prefix,
                                   std::vector<std::string> *Failures,
-                                  const RunResult *Run) {
+                                  const RunResult *) {
   std::vector<std::string> Written;
   Written.reserve(Profiles.size());
-  for (size_t I = 0; I != Profiles.size(); ++I) {
-    const profile::Profile &P = Profiles[I];
+  for (const profile::Profile &P : Profiles) {
     std::string Path = Dir + "/" + Prefix + "thread" +
                        std::to_string(P.ThreadId) + ".structslim";
     std::string Error;
-    bool Ok;
-    if (I == 0 && Run &&
-        (Run->QueueDepthMax | Run->ProducerStalls | Run->ConsumerBatches |
-         Run->PipelineCapacity)) {
-      // Stamp the run's pipeline counters onto exactly one shard (the
-      // merge rule max/sum/sum/max then reproduces the run totals).
-      // Done here rather than in the runtime so in-memory profiles
-      // stay comparable across simulation modes.
-      profile::Profile Stamped = P;
-      Stamped.QueueDepthMax = Run->QueueDepthMax;
-      Stamped.ProducerStalls = Run->ProducerStalls;
-      Stamped.ConsumerBatches = Run->ConsumerBatches;
-      Stamped.PipelineCapacity = Run->PipelineCapacity;
-      Ok = profile::writeProfileFile(Stamped, Path, &Error);
-    } else {
-      Ok = profile::writeProfileFile(P, Path, &Error);
-    }
-    if (Ok)
+    if (profile::writeProfileFile(P, Path, &Error))
       Written.push_back(std::move(Path));
     else if (Failures)
       Failures->push_back(Path + ": " + Error);

@@ -46,43 +46,16 @@ struct ThreadSpec {
   std::vector<uint64_t> Args;
 };
 
-/// Which phase engine executes multithreaded phases.
-///
-/// Serial is the reference: a deterministic round-robin interleave at
-/// Quantum-instruction granularity on the calling thread. Parallel
-/// runs each logical thread's quantum on its own OS thread (via the
-/// shared support::ThreadPool) and commits all process-shared effects
-/// — memory stores, shared-L3 traffic, PMU sample delivery, allocator
-/// mutations — at a round barrier in thread-id order, reproducing the
-/// serial schedule bit for bit. Auto picks Parallel when the host has
-/// more than one core, the phase has more than one thread, and no
-/// instrumentation TraceSink is attached (tracers observe accesses in
-/// schedule order and therefore force the serial engine; so does
-/// Parallel when a tracer is present).
-enum class EngineKind : uint8_t { Auto, Serial, Parallel };
+/// Kept only so the end-to-end benchmark (perfbench/) keeps compiling:
+/// the round-robin interleave is the one phase engine, and assigning
+/// RunConfig::Engine has no effect. Drop with the next benchmark change.
+enum class EngineKind : uint8_t { Serial };
 
-/// Whether serial-engine phases run the cache/PMU simulation inline on
-/// the execution thread or decoupled behind a lock-free access queue.
-///
-/// Inline is the original engine and the checked oracle: every access
-/// drives the hierarchy and sample delivery before the next
-/// instruction executes. Decoupled turns the interpreter into a pure
-/// producer of compact access records (runtime/AccessQueue) drained by
-/// a simulation consumer (runtime/SimPipeline) — on multi-core hosts a
-/// dedicated consumer thread, on single-core hosts a batched inline
-/// drain. Results are bit-identical either way (the differential
-/// pipeline tests assert it). Auto picks Decoupled for every
-/// serial-engine phase without an instrumentation TraceSink (tracers
-/// need the per-access outcome at access time, forcing Inline).
-///
-/// Parallel-engine phases in hierarchy mode 0 get the per-lane variant
-/// (runtime/ParallelSimPipeline): one ring per phase thread, private
-/// L1/L2 simulated by parallel lane workers, shared-L3 traffic merged
-/// back into serial segment order at the round barriers — also
-/// bit-identical. Auto engages it when the host has more than one
-/// core; Decoupled forces it (inline drain on one core). With a TLB or
-/// prefetcher the parallel engine keeps its deferred-round machinery.
-enum class PipelineKind : uint8_t { Auto, Inline, Decoupled };
+/// Kept only so the end-to-end benchmark keeps compiling: the cache and
+/// PMU simulation always runs inline on the executing thread, and
+/// assigning RunConfig::Pipeline has no effect. Drop with the next
+/// benchmark change.
+enum class PipelineKind : uint8_t { Inline };
 
 /// Runtime configuration.
 struct RunConfig {
@@ -90,8 +63,8 @@ struct RunConfig {
   pmu::SamplingConfig Sampling;
   /// Attach the StructSlim profiler (PMU sampling + online handler)?
   bool AttachProfiler = true;
-  /// Phase engine selection; results are identical either way.
-  EngineKind Engine = EngineKind::Auto;
+  /// No effect; kept only for the benchmark (see EngineKind).
+  EngineKind Engine = EngineKind::Serial;
   /// Instructions per round-robin slice in multithreaded phases.
   uint64_t Quantum = 64;
   /// Per-thread runaway guard.
@@ -103,13 +76,8 @@ struct RunConfig {
   /// instead of the predecoded engine. Results are bit-identical; the
   /// differential tests and benchmarks flip this to compare the two.
   bool ReferenceInterpreter = false;
-  /// Simulation placement for serial-engine phases; see PipelineKind.
-  PipelineKind Pipeline = PipelineKind::Auto;
-  /// Access-queue capacity in records (decoupled pipeline). Resolved
-  /// at ThreadedRuntime construction: rounded up to a power of two, at
-  /// least 1024 (multi-slot sampled groups must always fit); zero is a
-  /// configuration error. The default keeps the ring L2-resident.
-  size_t PipelineCapacity = 1 << 13;
+  /// No effect; kept only for the benchmark (see PipelineKind).
+  PipelineKind Pipeline = PipelineKind::Inline;
 };
 
 /// Aggregated outcome of a full run.
@@ -122,22 +90,16 @@ struct RunResult {
   uint64_t MemoryAccesses = 0;
   uint64_t Samples = 0;
   double WallSeconds = 0;     ///< Host time spent interpreting.
-  // Which phase engine actually ran (EngineKind::Auto resolves per
-  // phase; satellite checks assert the single-core serial fallback).
-  uint64_t SerialPhases = 0;
-  uint64_t ParallelPhases = 0;
   // Aggregated cache event counters (EBS role; Table 4 inputs).
   uint64_t Accesses[3] = {0, 0, 0}; ///< L1, L2, L3 demand accesses.
   uint64_t Misses[3] = {0, 0, 0};   ///< L1, L2, L3 demand misses.
-  // Decoupled-pipeline health counters (zero when every phase ran
-  // inline). Host-timing dependent — excluded from bit-identity
-  // comparisons, like WallSeconds.
-  uint64_t QueueDepthMax = 0;   ///< Deepest drain batch seen (records).
-  uint64_t ProducerStalls = 0;  ///< Ring-full backpressure events.
-  uint64_t ConsumerBatches = 0; ///< Non-empty drain batches processed.
-  /// Resolved per-lane queue capacity (records); zero when every phase
-  /// simulated inline.
-  uint64_t PipelineCapacity = 0;
+  // Kept only for the end-to-end benchmark's per-layer counters; drop
+  // with the next benchmark change. SerialPhases counts the phases run;
+  // the other three are always 0.
+  uint64_t SerialPhases = 0;
+  uint64_t ParallelPhases = 0;
+  uint64_t ProducerStalls = 0;
+  uint64_t QueueDepthMax = 0;
   // Bounded-memory sampling counters (zero when no reservoir was
   // configured). Deterministic — reservoir behavior depends only on the
   // per-thread sample stream and seed, never on host timing.
@@ -156,16 +118,13 @@ struct RunResult {
 /// open or tear a write exactly as a crashing production run would.
 /// Returns the paths written, in profile order; shards that failed are
 /// reported as "<path>: <reason>" in \p Failures when non-null and are
-/// absent from the returned list. When \p Run is given and carries
-/// decoupled-pipeline counters, they are stamped onto the first shard
-/// only (the profile merge rule — max/sum/sum — then reproduces the
-/// run totals), keeping the in-memory profiles free of host-timing
-/// diagnostics.
+/// absent from the returned list. The trailing RunResult pointer is
+/// ignored; it is kept only for the end-to-end benchmark's call site.
 std::vector<std::string>
 dumpProfiles(const std::vector<profile::Profile> &Profiles,
              const std::string &Dir, const std::string &Prefix = "",
              std::vector<std::string> *Failures = nullptr,
-             const RunResult *Run = nullptr);
+             const RunResult * = nullptr);
 
 /// Owns the Machine and runs phases of threads over it.
 class ThreadedRuntime {

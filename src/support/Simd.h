@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Dispatch policy for the vectorized simulation kernels (the cache tag
-/// probe in cache::SetAssocCache::accessBatch and the stride-GCD fold
-/// in core/StrideKernel). The policy is compile-time: each kernel TU is
-/// built at the widest vector level its build flags enable (the build
-/// system adds -mavx2 to exactly those TUs when a configure-time probe
-/// runs AVX2 code successfully on the build host), and the kernel
+/// Dispatch policy for the vectorized analysis kernel (the stride-GCD
+/// fold in core/StrideKernel). The policy is compile-time: the kernel
+/// TU is built at the widest vector level its build flags enable (the
+/// build system adds -mavx2 to exactly that TU when a configure-time
+/// probe runs AVX2 code successfully on the build host), and the kernel
 /// branches once per call between its vector path and the portable
 /// scalar reference. The scalar path is always compiled and always
 /// bit-identical — the differential test suite asserts it, and the

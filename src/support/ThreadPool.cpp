@@ -30,11 +30,14 @@ ThreadPool &ThreadPool::global() {
   return Pool;
 }
 
-ThreadPool::ThreadPool(unsigned Workers) {
-  if (Workers == 0)
-    Workers = defaultThreadCount();
+ThreadPool::ThreadPool(unsigned Count) {
+  if (Count == 0)
+    Count = defaultThreadCount();
   std::lock_guard<std::mutex> Lock(Mutex);
-  spawnLocked(Workers);
+  for (unsigned I = 0; I != Count; ++I) {
+    Workers.push_back(std::make_unique<Worker>());
+    Workers[I]->Thread = std::thread([this, I] { workerLoop(I); });
+  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -51,20 +54,6 @@ ThreadPool::~ThreadPool() {
 unsigned ThreadPool::getWorkerCount() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return static_cast<unsigned>(Workers.size());
-}
-
-void ThreadPool::spawnLocked(unsigned Count) {
-  for (unsigned I = 0; I != Count; ++I) {
-    Workers.push_back(std::make_unique<Worker>());
-    size_t Index = Workers.size() - 1;
-    Workers[Index]->Thread = std::thread([this, Index] { workerLoop(Index); });
-  }
-}
-
-void ThreadPool::ensureWorkers(unsigned Count) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Workers.size() < Count)
-    spawnLocked(Count - static_cast<unsigned>(Workers.size()));
 }
 
 bool ThreadPool::trySteal(size_t Self, std::function<void()> &Out) {

@@ -9,7 +9,7 @@
 // jobs=4 to also catch schedule-dependent output.
 //
 // Labeled `tsan` so the ThreadSanitizer preset covers the analyzer's
-// fan-out alongside the parallel phase engine.
+// fan-out.
 //
 //===----------------------------------------------------------------------===//
 

@@ -38,6 +38,34 @@ TEST(PerfEvent, ProbeGivesReasonWhenUnsupported) {
   // Either outcome is valid; the probe must not crash or hang.
 }
 
+TEST(PerfEvent, ParsesSysfsEventEncoding) {
+  uint64_t Event = 0, LdLat = 0;
+  ASSERT_TRUE(PerfEventSampler::parseEventEncoding(
+      "event=0xcd,umask=0x1,ldlat=3", /*LoadLatency=*/0, Event, LdLat));
+  EXPECT_EQ(Event, 0x1cdu);
+  EXPECT_EQ(LdLat, 3u);
+  // A configured threshold overrides the advertised one; decimal and
+  // octal values parse like strtoull's base 0.
+  ASSERT_TRUE(
+      PerfEventSampler::parseEventEncoding("event=205,umask=010,ldlat=3",
+                                           /*LoadLatency=*/30, Event, LdLat));
+  EXPECT_EQ(Event, 205u | (8u << 8));
+  EXPECT_EQ(LdLat, 30u);
+}
+
+// A malformed sysfs term must make the event unsupported, never abort
+// the process (std::stoull used to throw out of the probe).
+TEST(PerfEvent, MalformedSysfsTermIsUnsupportedNotFatal) {
+  for (const char *Spec :
+       {"event=zz", "event=0xcd,umask=0x1zz", "event=", "event=0x",
+        "event=0xcd,umask=-1", "event=99999999999999999999999",
+        "event=08", "ldlat=3"}) {
+    uint64_t Event = 0, LdLat = 0;
+    EXPECT_FALSE(PerfEventSampler::parseEventEncoding(Spec, 3, Event, LdLat))
+        << Spec;
+  }
+}
+
 TEST(PerfEvent, StartFailsCleanlyWhenUnsupported) {
   std::string Reason;
   if (PerfEventSampler::isSupported(&Reason))

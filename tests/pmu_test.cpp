@@ -148,33 +148,6 @@ TEST(Pmu, TinyPeriodsSampleExactlyDespiteJitter) {
   }
 }
 
-// The disarm contract: a sample selected while armed but delivered
-// after setSink(nullptr) is dropped and counted, never dereferenced
-// into the null sink. This is the parallel engine's window between
-// tick (access time) and deliverDeferred (round barrier).
-TEST(Pmu, DisarmDropsDeferredPendingSample) {
-  SamplingConfig Cfg;
-  Cfg.Period = 1;
-  Cfg.RandomizePeriod = false;
-  PmuModel Pmu(Cfg, 0);
-  Collector Sink;
-  Pmu.setSink(&Sink);
-  ASSERT_TRUE(Pmu.tick(false)); // Selected while armed.
-  Pmu.setSink(nullptr);         // Profiler detaches before the barrier.
-  AddressSample S;
-  S.Ip = 0x400000;
-  Pmu.deliverDeferred(S, nullptr, 0);
-  EXPECT_TRUE(Sink.Samples.empty());
-  EXPECT_EQ(Pmu.getSamplesDelivered(), 0u);
-  EXPECT_EQ(Pmu.getSamplesDroppedDisarmed(), 1u);
-  // Re-arming delivers again; the dropped sample stays dropped.
-  Pmu.setSink(&Sink);
-  Pmu.deliverDeferred(S, nullptr, 0);
-  EXPECT_EQ(Sink.Samples.size(), 1u);
-  EXPECT_EQ(Pmu.getSamplesDelivered(), 1u);
-  EXPECT_EQ(Pmu.getSamplesDroppedDisarmed(), 1u);
-}
-
 // The overhead governor re-fits the effective period at the first
 // epoch boundary and is on budget from the second epoch on (the
 // one-epoch convergence contract).

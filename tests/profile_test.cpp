@@ -3,9 +3,13 @@
 #include "profile/MergeTree.h"
 #include "profile/Profile.h"
 #include "profile/ProfileIO.h"
+#include "support/Checksum.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace structslim;
 using namespace structslim::profile;
@@ -181,6 +185,89 @@ TEST(ProfileIO, RoundTripThenMergeEqualsDirectMerge) {
   ASSERT_TRUE(A2 && B2);
   A2->merge(*B2);
   EXPECT_EQ(profileToString(*A2), profileToString(Direct));
+}
+
+namespace {
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream OS;
+  OS << In.rdbuf();
+  return OS.str();
+}
+
+/// \p Shard with the last \p Drop bytes of its meta section (the first
+/// payload section) removed, and the meta size, meta CRC and header CRC
+/// rewritten to match: v3 layout is the magic line, a u32 section count,
+/// per section {u64 bytes, u64 records, u32 crc}, and a u32 header CRC.
+std::string dropMetaTail(std::string Shard, size_t Drop) {
+  auto LE = [&](size_t At, uint64_t V, unsigned N) {
+    for (unsigned B = 0; B != N; ++B)
+      Shard[At + B] = static_cast<char>(V >> (8 * B));
+  };
+  auto ReadLE = [&](size_t At, unsigned N) {
+    uint64_t V = 0;
+    for (unsigned B = 0; B != N; ++B)
+      V |= static_cast<uint64_t>(static_cast<uint8_t>(Shard[At + B]))
+           << (8 * B);
+    return V;
+  };
+  const size_t Hdr = std::string("structslim-profile v3\n").size();
+  unsigned Sections = static_cast<unsigned>(ReadLE(Hdr, 4));
+  size_t HeaderBytes = 4 + Sections * 20 + 4;
+  size_t MetaAt = Hdr + HeaderBytes;
+  uint64_t MetaBytes = ReadLE(Hdr + 4, 8) - Drop;
+  Shard.erase(MetaAt + MetaBytes, Drop);
+  LE(Hdr + 4, MetaBytes, 8);
+  LE(Hdr + 4 + 16, support::crc32(Shard.data() + MetaAt, MetaBytes), 4);
+  LE(Hdr + HeaderBytes - 4, support::crc32(Shard.data() + Hdr, HeaderBytes - 4),
+     4);
+  return Shard;
+}
+
+} // namespace
+
+// A v3 shard from a writer that stamped four decoupled-pipeline
+// counters (queue depth 8192, producer stalls 6, consumer batches 7,
+// queue capacity 8192) after the eight meta fields. The counters are
+// retired, but the shard must keep loading with the extras discarded:
+// its canonical text equals the one that writer produced, and the
+// current writer drops the four varints (2 + 1 + 1 + 2 bytes).
+TEST(ProfileIO, LoadsShardWithRetiredPipelineCounters) {
+  std::string Dir = STRUCTSLIM_TEST_DATA;
+  std::string Shard = slurp(Dir + "/tsp_pipeline.thread0.structslim");
+  ASSERT_EQ(Shard.rfind("structslim-profile v3\n", 0), 0u);
+  std::string Error;
+  auto P = readProfileFile(Dir + "/tsp_pipeline.thread0.structslim", &Error);
+  ASSERT_TRUE(P.has_value()) << Error;
+  EXPECT_EQ(P->TotalSamples, 45u);
+  EXPECT_EQ(profileToString(*P, 1), slurp(Dir + "/tsp_pipeline.thread0.v1"));
+  std::string Rewritten = profileToString(*P);
+  EXPECT_EQ(Shard.size() - Rewritten.size(), 6u);
+  auto Back = profileFromString(Rewritten, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  EXPECT_EQ(profileToString(*Back), Rewritten);
+}
+
+// The meta record may carry 8, 11 or 12 fields (the writers that
+// existed); 9 or 10 fields match no writer and stay malformed.
+TEST(ProfileIO, MetaRecordAcceptsEightElevenOrTwelveFields) {
+  std::string Dir = STRUCTSLIM_TEST_DATA;
+  std::string Shard = slurp(Dir + "/tsp_pipeline.thread0.structslim");
+  std::string Canonical = slurp(Dir + "/tsp_pipeline.thread0.v1");
+  // Trailing varints: 8192 (2 bytes), 6, 7, 8192 (2 bytes).
+  for (auto [Drop, Fields] : {std::pair<size_t, int>{0, 12}, {2, 11}, {6, 8}}) {
+    std::string Error;
+    auto P = profileFromString(dropMetaTail(Shard, Drop), &Error);
+    ASSERT_TRUE(P.has_value()) << Fields << " fields: " << Error;
+    EXPECT_EQ(profileToString(*P, 1), Canonical) << Fields << " fields";
+  }
+  for (auto [Drop, Fields] : {std::pair<size_t, int>{3, 10}, {4, 9}}) {
+    std::string Error;
+    EXPECT_FALSE(profileFromString(dropMetaTail(Shard, Drop), &Error))
+        << Fields << " fields";
+    EXPECT_NE(Error.find("meta"), std::string::npos) << Error;
+  }
 }
 
 TEST(ProfileIO, RejectsMissingMagic) {

@@ -11,7 +11,7 @@
 //    random addressing-mode programs,
 //  - the predecoded execution engine is bit-identical to the reference
 //    interpreter (registers, memory, counters, serialized profiles) on
-//    random fused-pattern programs under both phase engines.
+//    random fused-pattern programs with multithreaded quanta.
 //
 //===----------------------------------------------------------------------===//
 
@@ -273,8 +273,6 @@ namespace {
 std::pair<std::vector<uint64_t>, std::vector<std::string>>
 runProfiled(const ir::Program &P) {
   runtime::RunConfig Cfg;
-  Cfg.Engine = runtime::EngineKind::Serial;
-  Cfg.Pipeline = runtime::PipelineKind::Inline;
   Cfg.Sampling.Period = 128;
   runtime::ThreadedRuntime RT(Cfg);
   analysis::CodeMap CM(P);
@@ -424,11 +422,11 @@ INSTANTIATE_TEST_SUITE_P(Random, MemorySemanticsProperty,
 //
 // Random programs hitting the predecoder's interesting corners — the
 // fusable adjacent pairs (AddI+Load, ConstI+Store, Cmp*+CondBr), mixed
-// access sizes, page-straddling accesses, calls, div/rem — run three
-// ways: reference interpreter (serial), predecoded core (serial), and
-// predecoded core (parallel OS-thread engine). Every counter, every
-// return value, every byte of every serialized profile, and the final
-// memory image must match the reference exactly.
+// access sizes, page-straddling accesses, calls, div/rem — run on the
+// reference interpreter and on the predecoded core, two threads
+// interleaved at a swept quantum. Every counter, every return value,
+// every byte of every serialized profile, and the final memory image
+// must match the reference exactly.
 
 namespace {
 
@@ -442,12 +440,10 @@ constexpr unsigned SweepThreads = 2;
 
 /// Builds the random program for \p R and runs it. The program and all
 /// addresses are fully determined by the seed, so two invocations with
-/// the same seed differ only in the engine under test.
-SweepOutcome runSweep(uint64_t Seed, bool Reference,
-                      runtime::EngineKind Engine, uint64_t Quantum) {
+/// the same seed differ only in the interpreter core under test.
+SweepOutcome runSweep(uint64_t Seed, bool Reference, uint64_t Quantum) {
   Rng R(Seed);
   runtime::RunConfig Cfg;
-  Cfg.Engine = Engine;
   Cfg.ReferenceInterpreter = Reference;
   Cfg.Quantum = Quantum;
   Cfg.Sampling.Period = 64; // dense sampling: profile bytes carry signal
@@ -513,8 +509,7 @@ SweepOutcome runSweep(uint64_t Seed, bool Reference,
         }
         case 1: { // AddI+Load fusion candidate
           // Idx*8 stays under 256 bytes; keep the whole access inside
-          // the partition so the parallel engine sees no cross-thread
-          // same-round sharing.
+          // the partition.
           int64_t IdxDisp =
               static_cast<int64_t>(R.nextBelow(SweepPartBytes - 8 - 256)) &
               ~7ll;
@@ -595,17 +590,10 @@ TEST_P(PredecodeProperty, RandomProgramsBitIdenticalAcrossCores) {
   // slice; 3 lands mid-pair; 64 is the production default.
   const uint64_t Quanta[] = {1, 3, 64};
   uint64_t Quantum = Quanta[GetParam() % 3];
-  SweepOutcome Ref =
-      runSweep(Seed, /*Reference=*/true, runtime::EngineKind::Serial, Quantum);
-  SweepOutcome Pre = runSweep(Seed, /*Reference=*/false,
-                              runtime::EngineKind::Serial, Quantum);
-  SweepOutcome Par = runSweep(Seed, /*Reference=*/false,
-                              runtime::EngineKind::Parallel, Quantum);
-  expectSweepIdentical(Ref, Pre, "predecoded-serial");
-  expectSweepIdentical(Ref, Par, "predecoded-parallel");
+  SweepOutcome Ref = runSweep(Seed, /*Reference=*/true, Quantum);
+  SweepOutcome Pre = runSweep(Seed, /*Reference=*/false, Quantum);
+  expectSweepIdentical(Ref, Pre, "predecoded");
   EXPECT_GT(Ref.Result.Samples, 0u);
-  EXPECT_EQ(Pre.Result.ParallelPhases, 0u);
-  EXPECT_GT(Par.Result.ParallelPhases, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, PredecodeProperty, ::testing::Range(0, 9));

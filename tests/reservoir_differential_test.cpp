@@ -33,8 +33,6 @@ namespace {
 workloads::DriverConfig boundedConfig(uint64_t Capacity, uint64_t Budget) {
   workloads::DriverConfig Config;
   Config.Scale = 0.1;
-  Config.Run.Engine = runtime::EngineKind::Serial;
-  Config.Run.Pipeline = runtime::PipelineKind::Inline;
   Config.WorkerThreads = 1;
   Config.Analysis.Jobs = 1;
   Config.Run.Sampling.ReservoirCapacity = Capacity;

@@ -10,9 +10,11 @@
 #include "support/Stats.h"
 #include "support/VarInt.h"
 #include "support/TablePrinter.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -373,4 +375,29 @@ TEST(MappedFile, NoMmapEnvForcesBufferedFallback) {
 #else
   GTEST_SKIP() << "no setenv on this platform";
 #endif
+}
+
+// --- ThreadPool (also run under ThreadSanitizer) -------------------------
+
+TEST(ThreadPool, RunExecutesEveryTaskOnce) {
+  support::ThreadPool Pool(4);
+  std::atomic<int> Count{0};
+  std::vector<std::function<void()>> Tasks(
+      64, [&Count] { Count.fetch_add(1); });
+  Pool.run(Tasks);
+  EXPECT_EQ(Count.load(), 64);
+}
+
+TEST(ThreadPool, ParallelForCoversRangeExactly) {
+  support::ThreadPool Pool(3);
+  std::vector<std::atomic<int>> Touched(1000);
+  Pool.parallelFor(0, Touched.size(),
+                   [&Touched](size_t I) { Touched[I].fetch_add(1); });
+  for (size_t I = 0; I != Touched.size(); ++I)
+    ASSERT_EQ(Touched[I].load(), 1) << I;
+}
+
+TEST(ThreadPool, DefaultThreadCountHonorsEnvOverride) {
+  // The pool never reports zero threads, env var or not.
+  EXPECT_GE(support::ThreadPool::defaultThreadCount(), 1u);
 }

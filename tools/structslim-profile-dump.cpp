@@ -109,12 +109,10 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // The pinned deterministic configuration the golden tests use:
-  // serial engine, inline pipeline, one worker — byte-stable output.
+  // The pinned deterministic configuration the golden tests use: one
+  // worker — byte-stable output.
   workloads::DriverConfig Config;
   Config.Scale = Scale;
-  Config.Run.Engine = runtime::EngineKind::Serial;
-  Config.Run.Pipeline = runtime::PipelineKind::Inline;
   Config.WorkerThreads = 1;
   Config.Analysis.Jobs = 1;
 

@@ -214,15 +214,9 @@ int main(int argc, char **argv) {
     return 1;
   }
   profile::Profile Merged = std::move(Load.Merged);
-  // Decoupled-pipeline health counters travel inside the profiles
-  // (merge rule: max/sum/sum), so the merged profile already holds the
-  // run totals; zero for inline-simulation runs and pre-pipeline shards.
-  Stats.QueueDepthMax = Merged.QueueDepthMax;
-  Stats.ProducerStalls = Merged.ProducerStalls;
-  Stats.ConsumerBatches = Merged.ConsumerBatches;
-  Stats.PipelineCapacity = Merged.PipelineCapacity;
-  // Bounded-reservoir counters travel the same way (merge rule:
-  // max/sum); zero for unbounded runs and pre-reservoir shards.
+  // Bounded-reservoir counters travel inside the profiles (merge rule:
+  // max/sum), so the merged profile already holds the run totals; zero
+  // for unbounded runs and pre-reservoir shards.
   Stats.ReservoirCapacity = Merged.ReservoirCapacity;
   Stats.ReservoirSeen = Merged.ReservoirSeen;
   Stats.ReservoirEvictions = Merged.ReservoirEvictions;
