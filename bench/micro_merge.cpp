@@ -28,7 +28,6 @@
 
 #include "HostFeatures.h"
 #include "core/Analyzer.h"
-#include "core/Report.h"
 #include "profile/MergeTree.h"
 #include "profile/ProfileIO.h"
 #include "support/Format.h"
@@ -396,13 +395,9 @@ int main(int argc, char **argv) {
   }
   Json += "\n  ],\n";
 
-  // Warm vs cold analysis on the full merged profile: the incremental
-  // result cache re-serves unchanged objects, so a rolling re-report
-  // after an epoch that changed nothing skips analyzeObject entirely.
-  // The warm rendering must be byte-identical to the cold one.
-  double AnalyzeColdSeconds = 0, AnalyzeWarmSeconds = 0;
-  uint64_t ObjectsReused = 0;
-  bool WarmIdentical = false;
+  // One cold analysis of the full merged profile: every object, so the
+  // row tracks the analyzer's cost on a many-shard merge.
+  double AnalyzeColdSeconds = 0;
   {
     profile::MergeOptions Opts;
     Opts.WorkerThreads = 1;
@@ -410,38 +405,15 @@ int main(int argc, char **argv) {
     core::AnalysisConfig Config;
     Config.TopObjects = 1000;
     Config.MinObjectShare = 0;
-    Config.Jobs = 1;
     core::StructSlimAnalyzer Analyzer(Config);
     auto TCold = std::chrono::steady_clock::now();
     core::AnalysisResult Cold = Analyzer.analyze(Merged);
     AnalyzeColdSeconds = secondsSince(TCold);
-    auto TWarm = std::chrono::steady_clock::now();
-    core::AnalysisResult Warm = Analyzer.analyze(Merged);
-    AnalyzeWarmSeconds = secondsSince(TWarm);
-    ObjectsReused = Warm.Stats.ObjectsReused;
-    WarmIdentical = core::renderHotObjects(Warm) ==
-                        core::renderHotObjects(Cold) &&
-                    ObjectsReused == Cold.Objects.size();
-    AllIdentical = AllIdentical && WarmIdentical;
-    std::cout << "Warm re-analysis: cold "
-              << formatDouble(AnalyzeColdSeconds, 4) << "s, warm "
-              << formatDouble(AnalyzeWarmSeconds, 4) << "s ("
-              << formatDouble(AnalyzeWarmSeconds > 0
-                                  ? AnalyzeColdSeconds / AnalyzeWarmSeconds
-                                  : 0.0,
-                              2)
-              << "x), " << ObjectsReused << " objects reused, identical: "
-              << (WarmIdentical ? "yes" : "NO") << "\n\n";
+    std::cout << "Cold analysis: " << formatDouble(AnalyzeColdSeconds, 4)
+              << "s over " << Cold.Objects.size() << " objects\n\n";
   }
   Json += "  \"analysis\": {\"cold_seconds\": " +
-          std::to_string(AnalyzeColdSeconds) +
-          ", \"warm_seconds\": " + std::to_string(AnalyzeWarmSeconds) +
-          ", \"warm_speedup\": " +
-          std::to_string(AnalyzeWarmSeconds > 0
-                             ? AnalyzeColdSeconds / AnalyzeWarmSeconds
-                             : 0.0) +
-          ", \"objects_reused\": " + std::to_string(ObjectsReused) +
-          ", \"identical\": " + (WarmIdentical ? "true" : "false") + "},\n";
+          std::to_string(AnalyzeColdSeconds) + "},\n";
   Json += "  \"headline_single_core_speedup\": " +
           std::to_string(HeadlineSpeedup) + ",\n";
   Json += "  \"all_identical\": " + std::string(AllIdentical ? "true"

@@ -6,6 +6,7 @@
 #include "support/MathUtil.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numeric>
@@ -28,14 +29,29 @@ double structslim::core::eq4Accuracy(uint64_t N, uint64_t K) {
 
 double structslim::core::eq4LowerBound(uint64_t K) {
   assert(K >= 2 && "need at least two samples");
-  double Loss = 0.0;
-  for (uint64_t P : primesUpTo(100000)) {
-    double Term = std::pow(static_cast<double>(P), -static_cast<double>(K));
-    Loss += Term;
-    if (Term < 1e-18)
-      break;
-  }
-  return 1.0 - Loss;
+  // The bound depends on K alone, and the analyzer asks for it once per
+  // sparse stream: sieve the primes once per process and memoize every
+  // K below the table edge.
+  static const std::array<double, 64> Table = [] {
+    std::vector<uint64_t> Primes = primesUpTo(100000);
+    std::array<double, 64> Bounds{};
+    for (uint64_t Exp = 2; Exp != Bounds.size(); ++Exp) {
+      double Loss = 0.0;
+      for (uint64_t P : Primes) {
+        double Term =
+            std::pow(static_cast<double>(P), -static_cast<double>(Exp));
+        Loss += Term;
+        if (Term < 1e-18)
+          break;
+      }
+      Bounds[Exp] = 1.0 - Loss;
+    }
+    return Bounds;
+  }();
+  if (K < Table.size())
+    return Table[K];
+  // 2^-K < 1e-18 from K = 60 on: the sum stops after its p = 2 term.
+  return 1.0 - std::pow(2.0, -static_cast<double>(K));
 }
 
 double structslim::core::exactAccuracy(uint64_t N, uint64_t K) {

@@ -38,7 +38,8 @@ namespace core {
 double eq4Accuracy(uint64_t N, uint64_t K);
 
 /// The paper's closed-form lower bound: 1 - sum over primes of p^-k
-/// (truncated when terms vanish numerically).
+/// (truncated when terms vanish numerically). A table lookup: the
+/// primes are sieved once per process.
 double eq4LowerBound(uint64_t K);
 
 /// Accuracy counting all residue classes: subtracts, for each prime p,

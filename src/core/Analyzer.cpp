@@ -4,9 +4,7 @@
 
 #include "core/AccuracyModel.h"
 #include "core/StrideKernel.h"
-#include "support/Checksum.h"
 #include "support/MathUtil.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
@@ -29,67 +27,7 @@ StructSlimAnalyzer::StructSlimAnalyzer(AnalysisConfig Config)
 void StructSlimAnalyzer::registerLayout(const std::string &ObjectName,
                                         const ir::StructLayout &Layout) {
   Layouts[ObjectName] = Layout;
-  // Cached analyses may carry field names resolved against the old
-  // layout set; recompute from scratch on the next analyze().
-  ResultCache.clear();
 }
-
-namespace {
-
-uint64_t fnv1a64(const void *Data, size_t Size, uint64_t H) {
-  const auto *Bytes = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I != Size; ++I) {
-    H ^= Bytes[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-/// Content hash over everything analyzeObject's output for one object
-/// can depend on besides analyzer-lifetime state (Config, CodeMap,
-/// Layouts — the last invalidates the cache on change): the object
-/// aggregate, the lossiness flag, and every field of every stream, in
-/// stream order. CRC-32 and FNV-1a run over the same packed words;
-/// their concatenation is the 64-bit key the incremental cache trusts.
-uint64_t hashObjectContent(
-    const profile::ObjectAgg &Agg,
-    const std::vector<const profile::StreamRecord *> &Streams,
-    bool ReservoirLossy) {
-  uint32_t Crc = support::crc32(Agg.Name.data(), Agg.Name.size());
-  uint64_t Fnv =
-      fnv1a64(Agg.Name.data(), Agg.Name.size(), 0xcbf29ce484222325ull);
-  uint64_t Head[5] = {Agg.Start, Agg.Size, Agg.LatencySum, Agg.SampleCount,
-                      ReservoirLossy ? 1ull : 0ull};
-  Crc = support::crc32(Head, sizeof(Head), Crc);
-  Fnv = fnv1a64(Head, sizeof(Head), Fnv);
-  for (const profile::StreamRecord *S : Streams) {
-    // Field by field into fixed-width words: struct padding bytes must
-    // never feed the hash.
-    uint64_t W[18] = {S->Ip,
-                      static_cast<uint64_t>(static_cast<uint32_t>(S->LoopId)),
-                      S->Line,
-                      S->AccessSize,
-                      S->SampleCount,
-                      S->LatencySum,
-                      S->UniqueAddrCount,
-                      S->StrideGcd,
-                      S->RepAddr,
-                      S->LastAddr,
-                      S->ObjectStart,
-                      S->LevelSamples[0],
-                      S->LevelSamples[1],
-                      S->LevelSamples[2],
-                      S->LevelSamples[3],
-                      S->TlbMissSamples,
-                      S->OfferedSamples,
-                      S->OfferedWeight};
-    Crc = support::crc32(W, sizeof(W), Crc);
-    Fnv = fnv1a64(W, sizeof(W), Fnv);
-  }
-  return (static_cast<uint64_t>(Crc) << 32) ^ Fnv;
-}
-
-} // namespace
 
 AnalysisResult StructSlimAnalyzer::analyze(const profile::Profile &Merged) const {
   AnalysisResult Result;
@@ -112,100 +50,38 @@ AnalysisResult StructSlimAnalyzer::analyze(const profile::Profile &Merged) const
   for (const profile::StreamRecord &S : Merged.Streams)
     StreamsByObject[S.ObjectIndex].push_back(&S);
 
-  // Object selection stays serial: it only reads the aggregates, and
-  // the hottest-first order plus the early break define the output
-  // order deterministically.
-  std::vector<uint32_t> Selected;
-  for (uint32_t ObjectIndex : Order) {
-    if (Selected.size() >= Config.TopObjects)
-      break;
-    double Share = static_cast<double>(Merged.Objects[ObjectIndex].LatencySum) /
-                   Merged.TotalLatency;
-    if (Share < Config.MinObjectShare)
-      break; // Sorted descending: everything after is colder.
-    Selected.push_back(ObjectIndex);
-  }
-
-  Result.Objects.resize(Selected.size());
-  for (size_t I = 0; I != Selected.size(); ++I) {
-    const profile::ObjectAgg &Agg = Merged.Objects[Selected[I]];
-    ObjectAnalysis &O = Result.Objects[I];
-    O.Key = Agg.Key;
-    O.Name = Agg.Name;
-    O.LatencySum = Agg.LatencySum;
-    O.SampleCount = Agg.SampleCount;
-    O.HotShare = static_cast<double>(Agg.LatencySum) / Merged.TotalLatency;
-  }
-
-  unsigned Jobs =
-      Config.Jobs ? Config.Jobs : support::ThreadPool::defaultThreadCount();
   // A profile that recorded reservoir evictions is lossy: any sparse
   // stream may owe its sparseness to the reservoir, not the program.
   bool ReservoirLossy =
       Merged.ReservoirCapacity != 0 && Merged.ReservoirEvictions != 0;
 
-  // Incremental warm path: an object whose content hash matches the
-  // cached run is copied instead of re-analyzed (only HotShare is
-  // recomputed — it depends on the epoch's total latency, not the
-  // object). A cache hit and a recompute produce identical bytes
-  // because the hash covers every analyzeObject input that can vary
-  // between calls; the cold path below stays the checked oracle.
-  std::vector<uint64_t> Hashes(Selected.size(), 0);
-  std::vector<size_t> Misses;
-  Misses.reserve(Selected.size());
-  for (size_t I = 0; I != Selected.size(); ++I) {
-    if (!Config.Incremental) {
-      Misses.push_back(I);
-      continue;
-    }
-    const profile::ObjectAgg &Agg = Merged.Objects[Selected[I]];
-    Hashes[I] = hashObjectContent(Agg, StreamsByObject[Selected[I]],
-                                  ReservoirLossy);
-    auto It = ResultCache.find(Agg.Key);
-    if (It != ResultCache.end() && It->second.Hash == Hashes[I]) {
-      double HotShare = Result.Objects[I].HotShare;
-      Result.Objects[I] = It->second.Result;
-      Result.Objects[I].HotShare = HotShare;
-      ++Result.Stats.ObjectsReused;
-    } else {
-      Misses.push_back(I);
-    }
-  }
+  // Hottest first, until TopObjects or the first object below
+  // MinObjectShare (sorted descending: everything after is colder).
+  for (uint32_t ObjectIndex : Order) {
+    if (Result.Objects.size() >= Config.TopObjects)
+      break;
+    const profile::ObjectAgg &Agg = Merged.Objects[ObjectIndex];
+    double Share = static_cast<double>(Agg.LatencySum) / Merged.TotalLatency;
+    if (Share < Config.MinObjectShare)
+      break;
+    ObjectAnalysis &O = Result.Objects.emplace_back();
+    O.Key = Agg.Key;
+    O.Name = Agg.Name;
+    O.LatencySum = Agg.LatencySum;
+    O.SampleCount = Agg.SampleCount;
+    O.HotShare = Share;
+    analyzeObject(StreamsByObject[ObjectIndex], ReservoirLossy, O);
 
-  // Per-object analyses are independent (analyzeObject writes only its
-  // own slot and reads shared state const), so the misses run
-  // concurrently on the shared pool. Each slot's content depends only
-  // on its object's streams, never on scheduling, so the result is
-  // byte-identical to the serial path for any job count.
-  auto AnalyzeOne = [&](size_t M) {
-    size_t I = Misses[M];
-    analyzeObject(StreamsByObject[Selected[I]], ReservoirLossy,
-                  Result.Objects[I]);
-  };
-  if (Jobs > 1 && Misses.size() > 1)
-    support::ThreadPool::global().parallelFor(0, Misses.size(), AnalyzeOne);
-  else
-    for (size_t M = 0; M != Misses.size(); ++M)
-      AnalyzeOne(M);
-
-  // Refill the cache from the recomputed slots (serially — the cache
-  // is single-threaded state).
-  if (Config.Incremental)
-    for (size_t I : Misses)
-      ResultCache[Result.Objects[I].Key] = {Hashes[I], Result.Objects[I]};
-
-  // Aggregate counters serially in object order.
-  Result.Stats.ObjectsAnalyzed = Result.Objects.size();
-  for (size_t I = 0; I != Selected.size(); ++I)
-    Result.Stats.StreamsAnalyzed += StreamsByObject[Selected[I]].size();
-  for (const ObjectAnalysis &O : Result.Objects) {
-    Result.Stats.SkippedInconsistentStreams += O.SkippedStreams;
+    AnalysisStats &Stats = Result.Stats;
+    ++Stats.ObjectsAnalyzed;
+    Stats.StreamsAnalyzed += StreamsByObject[ObjectIndex].size();
+    Stats.SkippedInconsistentStreams += O.SkippedStreams;
     if (O.LowConfidenceSize)
-      ++Result.Stats.LowConfidenceSizes;
-    Result.Stats.SparseStreams += O.SparseStreams;
-    Result.Stats.TruncatedStreams += O.TruncatedStreams;
+      ++Stats.LowConfidenceSizes;
+    Stats.SparseStreams += O.SparseStreams;
+    Stats.TruncatedStreams += O.TruncatedStreams;
     if (O.ReservoirTruncated)
-      ++Result.Stats.ReservoirTruncatedObjects;
+      ++Stats.ReservoirTruncatedObjects;
   }
   return Result;
 }

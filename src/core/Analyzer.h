@@ -28,7 +28,6 @@
 #include <array>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace structslim {
@@ -65,25 +64,12 @@ struct AnalysisConfig {
   unsigned MinUniqueAddrs = 10;
   /// Field clustering algorithm.
   ClusteringMethod Clustering = ClusteringMethod::Threshold;
-  /// Reuse per-object results across analyze() calls on one analyzer
-  /// when an object's content hash (aggregates + every stream field +
-  /// the reservoir-lossiness flag) is unchanged — the warm path for
-  /// rolling re-reports over an epoch accumulator, re-running
-  /// analyzeObject only for objects that actually changed. Output is
-  /// byte-identical to a cold run; false restores the always-recompute
-  /// oracle (--no-incremental in structslim-report).
-  bool Incremental = true;
-  /// Worker threads for the per-object analysis: objects are analyzed
-  /// concurrently on the shared support::ThreadPool when > 1; 1 runs
-  /// serially; 0 (the default) sizes from
-  /// support::ThreadPool::defaultThreadCount() (STRUCTSLIM_THREADS env
-  /// var, else hardware_concurrency). The result is byte-identical for
-  /// every setting.
+  /// Ignored; kept only because perfbench/ sets it. Analysis is one
+  /// serial pass (the merge fan-out takes the job count instead).
   unsigned Jobs = 0;
 };
 
-/// Counters from one analyze() run, aggregated deterministically in
-/// object order so serial and parallel runs produce identical values.
+/// Counters from one analyze() run, aggregated in object order.
 struct AnalysisStats {
   uint64_t ObjectsConsidered = 0; ///< Objects present in the profile.
   uint64_t ObjectsAnalyzed = 0;   ///< Objects that passed the filters.
@@ -105,11 +91,6 @@ struct AnalysisStats {
   uint64_t TruncatedStreams = 0;
   /// Analyzed objects with at least one reservoir-starved stream.
   uint64_t ReservoirTruncatedObjects = 0;
-  /// Objects served from the incremental result cache this run
-  /// (content hash unchanged since a previous analyze() on the same
-  /// analyzer). Not rendered in reports — warm and cold runs must stay
-  /// byte-identical — but exposed for tests and benchmarks.
-  uint64_t ObjectsReused = 0;
 };
 
 /// Latency decomposition for one inferred field (Table 5 row).
@@ -193,7 +174,7 @@ struct AnalysisResult {
   uint64_t TotalSamples = 0;
   /// Significant objects, hottest first (filtered per AnalysisConfig).
   std::vector<ObjectAnalysis> Objects;
-  /// Pipeline counters (identical for serial and parallel runs).
+  /// Pipeline counters.
   AnalysisStats Stats;
 
   const ObjectAnalysis *findObject(const std::string &Name) const {
@@ -218,19 +199,14 @@ public:
   /// Registers the source-level layout of the struct stored in object
   /// \p ObjectName, used only to attach field names to inferred
   /// offsets when rendering reports (the analysis itself never reads
-  /// it). Invalidates the incremental result cache: cached analyses
-  /// may carry field names from the previous layout set.
+  /// it). Takes effect on the next analyze().
   void registerLayout(const std::string &ObjectName,
                       const ir::StructLayout &Layout);
 
-  /// Runs the full analysis pipeline of Fig. 2 on \p Merged. The
-  /// per-object analyses run concurrently on the shared
-  /// support::ThreadPool per AnalysisConfig::Jobs; the result is
-  /// byte-identical to a serial run for any job count, and (with
-  /// AnalysisConfig::Incremental) to any earlier warm/cold schedule of
-  /// analyze() calls on this analyzer. The incremental cache makes
-  /// concurrent analyze() calls on one analyzer unsupported; distinct
-  /// analyzers remain independent.
+  /// Runs the full analysis pipeline of Fig. 2 on \p Merged: one cold,
+  /// serial pass over the selected objects. The analyzer keeps no state
+  /// between calls, so concurrent analyze() calls on one analyzer are
+  /// safe (registerLayout() must not run concurrently with them).
   AnalysisResult analyze(const profile::Profile &Merged) const;
 
   const AnalysisConfig &getConfig() const { return Config; }
@@ -243,14 +219,6 @@ private:
   const analysis::CodeMap *CodeMap = nullptr;
   AnalysisConfig Config;
   std::map<std::string, ir::StructLayout> Layouts;
-  /// Incremental re-analysis: per-object-key cached result plus the
-  /// content hash it was computed from. Mutable — the cache is an
-  /// acceleration structure invisible in analyze() output.
-  struct CachedAnalysis {
-    uint64_t Hash = 0;
-    ObjectAnalysis Result;
-  };
-  mutable std::unordered_map<std::string, CachedAnalysis> ResultCache;
 };
 
 } // namespace core

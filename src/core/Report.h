@@ -96,7 +96,7 @@ std::string renderHotContexts(const profile::Profile &Merged,
 /// counters, and the per-stage timings from \p Stats. Key order and
 /// number formatting are deterministic, so two runs over the same
 /// profile with the same \p Stats values serialize byte-identically
-/// regardless of the analyzer's job count.
+/// regardless of the merge job count.
 std::string renderJsonReport(const AnalysisResult &Result,
                              const profile::Profile &Merged,
                              const AnalysisConfig &Config,

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// A reusable work-stealing thread pool shared by every parallel
-/// component: MergeTree reduces profile pairs on it, the analyzer fans
-/// out per-object work over it, and the workload Driver sizes its merge
-/// from it.
+/// component: MergeTree reduces profile pairs on it, and the workload
+/// Driver sizes its merge from it.
 ///
 /// Each worker owns a deque; it pops work from the back and steals from
 /// the front of other workers' deques when its own runs dry.

@@ -1,11 +1,13 @@
 //===- tests/accuracy_test.cpp - Eq. 4 accuracy model tests ----*- C++ -*-===//
 
 #include "core/AccuracyModel.h"
+#include "support/MathUtil.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 using namespace structslim;
 using namespace structslim::core;
@@ -17,6 +19,23 @@ TEST(Accuracy, PaperClaimKTenExceeds99Percent) {
     EXPECT_GT(exactAccuracy(N, 10), 0.99) << "n = " << N;
   }
   EXPECT_GT(eq4LowerBound(10), 0.99);
+}
+
+TEST(Accuracy, LowerBoundLookupMatchesTheDirectSum) {
+  // The formula as a loop, re-sieving on every K: the reference the
+  // memoized lookup must reproduce bit for bit, on both sides of its
+  // table edge.
+  std::vector<uint64_t> Primes = primesUpTo(100000);
+  for (uint64_t K = 2; K <= 200; ++K) {
+    double Loss = 0.0;
+    for (uint64_t P : Primes) {
+      double Term = std::pow(static_cast<double>(P), -static_cast<double>(K));
+      Loss += Term;
+      if (Term < 1e-18)
+        break;
+    }
+    EXPECT_EQ(eq4LowerBound(K), 1.0 - Loss) << "k = " << K;
+  }
 }
 
 TEST(Accuracy, MonotonicInK) {

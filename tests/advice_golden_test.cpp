@@ -51,7 +51,6 @@ workloads::DriverConfig pinnedConfig() {
   workloads::DriverConfig Config;
   Config.Scale = 0.1;
   Config.WorkerThreads = 1;
-  Config.Analysis.Jobs = 1;
   return Config;
 }
 

@@ -7,16 +7,23 @@
 //    pointer) and falls back to the FieldMap rebuild, with the
 //    splitter's diagnostic preserved,
 //  - verdicts and their JSON rendering are byte-identical for any
-//    merge/analyzer job count,
+//    merge job count,
 //  - the BenefitModel's prediction and the measured speedup agree in
-//    direction (both > 1 when the split helps).
+//    direction (both > 1 when the split helps),
+//  - one analyzer serves concurrent analyze() calls, the first of which
+//    race to build the Eq. 4 bound table (run under TSan).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ClosedLoop.h"
+#include "core/Report.h"
+#include "transform/FieldMap.h"
+#include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace structslim;
 using namespace structslim::core;
@@ -27,7 +34,6 @@ ClosedLoopConfig testConfig(unsigned Jobs = 0) {
   ClosedLoopConfig Config;
   Config.Driver.Scale = 0.1;
   Config.Driver.WorkerThreads = Jobs;
-  Config.Driver.Analysis.Jobs = Jobs;
   return Config;
 }
 
@@ -85,6 +91,33 @@ TEST(ClosedLoop, VerdictsAreIdenticalForAnyJobCount) {
   EXPECT_EQ(renderVerifyJson(One, testConfig(1)),
             renderVerifyJson(Four, testConfig(4)));
   EXPECT_EQ(renderVerifyText(One), renderVerifyText(Four));
+}
+
+// analyze() keeps no state between calls, so one analyzer may serve
+// several threads at once. Nothing in this process has asked for an
+// Eq. 4 bound before the threads start, so they also race on the
+// bound table's first use.
+TEST(ClosedLoop, ConcurrentAnalysesOnOneAnalyzerMatchSerial) {
+  ClosedLoopConfig Config = testConfig();
+  std::unique_ptr<workloads::Workload> W = workloads::makeArt();
+  transform::FieldMap Identity(W->hotLayout());
+  workloads::WorkloadRun Run =
+      workloads::runWorkload(*W, Identity, Config.Driver, /*Attach=*/true);
+  StructSlimAnalyzer Analyzer(*Run.CodeMap, Config.Driver.Analysis);
+  auto Render = [&] {
+    return renderJsonReport(Analyzer.analyze(Run.Merged), Run.Merged,
+                            Config.Driver.Analysis, ReportStats(), {});
+  };
+  std::vector<std::string> Rendered(4);
+  std::vector<std::thread> Threads;
+  for (std::string &Out : Rendered)
+    Threads.emplace_back([&Out, &Render] { Out = Render(); });
+  for (std::thread &T : Threads)
+    T.join();
+  std::string Serial = Render();
+  EXPECT_NE(Serial.find("\"size_confidence\""), std::string::npos);
+  for (const std::string &Out : Rendered)
+    EXPECT_EQ(Out, Serial);
 }
 
 TEST(ClosedLoop, ReportAggregatesAndRendersBothForms) {

@@ -140,6 +140,7 @@ TEST(ReportCli, MalformedNumericValueExitsTwoWithUsage) {
       {"--top=-3", "--top"},            {"--top=7x", "--top"},
       {"--jobs=1x", "--jobs"},          {"--jobs=", "--jobs"},
       {"--threshold=0..5", "--threshold"}, {"--threshold=nan?", "--threshold"},
+      {"--threshold=nan", "--threshold"}, {"--threshold=inf", "--threshold"},
       {"--min-unique=ten", "--min-unique"},
       {"--top=99999999999999999999", "--top"},
   };

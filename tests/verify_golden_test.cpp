@@ -148,6 +148,7 @@ TEST(VerifyCli, MalformedValuesExitTwoWithUsage) {
   } Cases[] = {
       {"--scale=abc", "--scale"}, {"--scale=", "--scale"},
       {"--scale=0", "--scale"},   {"--scale=1x", "--scale"},
+      {"--scale=nan", "--scale"}, {"--scale=inf", "--scale"},
       {"--period=0", "--period"}, {"--period=ten", "--period"},
       {"--jobs=-1", "--jobs"},    {"--jobs=1x", "--jobs"},
   };

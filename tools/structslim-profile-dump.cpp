@@ -7,8 +7,7 @@
 // Runs paper workloads under the StructSlim profiler and writes each
 // one's merged profile to disk in the v3 binary format — the fixture
 // generator for ingestion checks that need real workload profiles as
-// files (CI byte-compares the mmap and buffered loaders over them, and
-// warm vs cold reports).
+// files (CI byte-compares the mmap and buffered loaders over them).
 //
 // Usage:
 //   structslim-profile-dump [options] <dir> [workloads...]
@@ -23,12 +22,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "profile/ProfileIO.h"
+#include "support/ParseNumber.h"
 #include "transform/FieldMap.h"
 #include "workloads/Driver.h"
 #include "workloads/Registry.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -42,18 +40,6 @@ int usage() {
   std::cerr << "usage: structslim-profile-dump [--scale=X] [--list] "
                "<dir> [workloads...]\n";
   return 2;
-}
-
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
 }
 
 } // namespace
@@ -114,7 +100,6 @@ int main(int argc, char **argv) {
   workloads::DriverConfig Config;
   Config.Scale = Scale;
   Config.WorkerThreads = 1;
-  Config.Analysis.Jobs = 1;
 
   for (const auto &W : Selected) {
     transform::FieldMap Identity(W->hotLayout());

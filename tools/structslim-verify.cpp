@@ -21,7 +21,7 @@
 //                    overhead-governor target in samples per million
 //                    accesses (default 0 = governor off)
 //     --epoch=N      governor epoch length in accesses (default 2^20)
-//     --jobs=N       merge/analyzer worker threads (default 0 = auto);
+//     --jobs=N       shard merge worker threads (default 0 = auto);
 //                    output is byte-identical for every setting
 //     --json         emit the machine-readable document (schema_version
 //                    1) on stdout instead of the text table
@@ -36,10 +36,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/ClosedLoop.h"
+#include "support/ParseNumber.h"
 #include "workloads/Registry.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -68,32 +67,6 @@ int usage() {
   return 2;
 }
 
-/// Strict full-string unsigned parse; rejects "", "abc", "1x", "-1".
-bool parseUnsigned(const std::string &Text, uint64_t &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+')
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
-/// Strict full-string double parse; rejects "", "abc", "0.5x".
-bool parseDouble(const std::string &Text, double &Out) {
-  if (Text.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  double Value = std::strtod(Text.c_str(), &End);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
-  Out = Value;
-  return true;
-}
-
 bool badValue(const std::string &Flag, const std::string &Value) {
   std::cerr << "error: invalid value '" << Value << "' for " << Flag << "\n";
   return false;
@@ -118,10 +91,8 @@ bool parseArgs(int argc, char **argv, Options &Opts) {
       if (!parseUnsigned(Arg.substr(8), Opts.Epoch) || Opts.Epoch == 0)
         return badValue("--epoch", Arg.substr(8));
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      uint64_t Jobs = 0;
-      if (!parseUnsigned(Arg.substr(7), Jobs) || Jobs > 0xffffffffULL)
+      if (!parseUnsigned(Arg.substr(7), Opts.Jobs))
         return badValue("--jobs", Arg.substr(7));
-      Opts.Jobs = static_cast<unsigned>(Jobs);
     } else if (Arg == "--json") {
       Opts.Json = true;
     } else if (Arg == "--smoke") {
@@ -181,7 +152,6 @@ int main(int argc, char **argv) {
   Config.Driver.Run.Sampling.SampleBudgetPerMAccess = Opts.SampleBudget;
   Config.Driver.Run.Sampling.EpochAccesses = Opts.Epoch;
   Config.Driver.WorkerThreads = Opts.Jobs;
-  Config.Driver.Analysis.Jobs = Opts.Jobs;
 
   core::VerifyReport Report = core::verifyWorkloads(Selected, Config);
   if (Opts.Json)
