@@ -101,6 +101,12 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
   Analyzer.registerLayout(W.hotObjectName(), Hot);
   AnalysisResult Analysis = Analyzer.analyze(Profiled.Merged);
 
+  // Baseline: the original layout, profiler detached. The PMU only
+  // observes accesses, so the profiled run already simulated it; its
+  // counters minus the per-sample handler charge are the detached run's.
+  V.Before = countersOf(Profiled.Result);
+  V.Before.ElapsedCycles = Profiled.Result.DetachedElapsedCycles;
+
   // 3. Advice for the hot object, plus the what-if projection.
   if (const ObjectAnalysis *HotObj = Analysis.findObject(W.hotObjectName())) {
     V.Plan = makeSplitPlan(*HotObj, &Hot);
@@ -118,11 +124,6 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
     V.FallbackReason =
         "hot object '" + W.hotObjectName() + "' not significant in the profile";
   }
-
-  // Baseline: the original layout, profiler detached.
-  workloads::WorkloadRun Baseline =
-      workloads::runWorkload(W, Identity, Config.Driver, /*Attach=*/false);
-  V.Before = countersOf(Baseline.Result);
 
   // 4. Apply the plan and re-simulate under the identical RunConfig.
   if (!V.Plan.isSplit()) {
@@ -161,7 +162,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
         Runtime.runPhase(*Split, &SplitMap, Phase);
       runtime::RunResult After = Runtime.finish();
       V.After = countersOf(After);
-      V.ResultsMatch = After.ReturnValues == Baseline.Result.ReturnValues;
+      V.ResultsMatch = After.ReturnValues == Profiled.Result.ReturnValues;
     } else {
       // Path 2: the paper's manual source transformation, mechanized —
       // rebuild the workload under the split FieldMap.
@@ -172,7 +173,7 @@ structslim::core::verifyWorkload(const workloads::Workload &W,
           workloads::runWorkload(W, SplitMap, Config.Driver, /*Attach=*/false);
       V.After = countersOf(AfterRun.Result);
       V.ResultsMatch =
-          AfterRun.Result.ReturnValues == Baseline.Result.ReturnValues;
+          AfterRun.Result.ReturnValues == Profiled.Result.ReturnValues;
     }
   }
 

@@ -99,6 +99,8 @@ struct WorkloadVerdict {
   bool ReservoirTruncated = false;
 
   // Before/after under the identical RunConfig and cache hierarchy.
+  // Before is the detached original layout, read off the profiled run
+  // (RunResult::DetachedElapsedCycles); After is a detached re-run.
   SimCounters Before;
   SimCounters After;
   /// Thread return values identical before/after (semantic check).

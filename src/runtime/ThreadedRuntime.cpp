@@ -138,8 +138,10 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
 
   // Fold this phase's results into the accumulated run result.
   uint64_t PhaseMaxCycles = 0;
+  uint64_t PhaseMaxDetachedCycles = 0;
   for (PhaseThread &S : States) {
     RunStats Stats = S.Interp->getStats();
+    PhaseMaxDetachedCycles = std::max(PhaseMaxDetachedCycles, Stats.Cycles);
     // Charge the simulated sampling-interrupt cost to the thread that
     // took the samples.
     uint64_t Samples = S.Pmu->getSamplesDelivered();
@@ -178,6 +180,7 @@ void ThreadedRuntime::runPhase(const ir::Program &P,
     }
   }
   Accum.ElapsedCycles += PhaseMaxCycles;
+  Accum.DetachedElapsedCycles += PhaseMaxDetachedCycles;
 }
 
 std::vector<std::string>

@@ -85,6 +85,12 @@ struct RunResult {
   std::vector<profile::Profile> Profiles; ///< One per thread (attached).
   std::vector<uint64_t> ReturnValues;     ///< Per thread, phase order.
   uint64_t ElapsedCycles = 0; ///< Sum over phases of max thread cycles.
+  /// ElapsedCycles without the SampleHandlerCycles charge: per phase,
+  /// the max thread cycles before that thread's samples are charged
+  /// (the slowest thread can differ once charges are added). The PMU
+  /// only observes accesses, so this is what a detached run of the
+  /// same program reports as its ElapsedCycles.
+  uint64_t DetachedElapsedCycles = 0;
   uint64_t TotalCycles = 0;   ///< Sum over all threads.
   uint64_t Instructions = 0;
   uint64_t MemoryAccesses = 0;

@@ -10,6 +10,8 @@
 //    merge job count,
 //  - the BenefitModel's prediction and the measured speedup agree in
 //    direction (both > 1 when the split helps),
+//  - the verdict's Before counters, taken from the profiled run, equal
+//    a real detached run of the original layout,
 //  - one analyzer serves concurrent analyze() calls, the first of which
 //    race to build the Eq. 4 bound table (run under TSan).
 //
@@ -91,6 +93,32 @@ TEST(ClosedLoop, VerdictsAreIdenticalForAnyJobCount) {
   EXPECT_EQ(renderVerifyJson(One, testConfig(1)),
             renderVerifyJson(Four, testConfig(4)));
   EXPECT_EQ(renderVerifyText(One), renderVerifyText(Four));
+}
+
+TEST(ClosedLoop, BeforeCountersEqualADetachedRun) {
+  ClosedLoopConfig Config = testConfig();
+  std::vector<std::unique_ptr<workloads::Workload>> Ws;
+  Ws.push_back(workloads::makeArt());   // ir-split path.
+  Ws.push_back(workloads::makeClomp()); // fieldmap-rebuild path.
+  for (const auto &W : Ws) {
+    SCOPED_TRACE(W->name());
+    WorkloadVerdict V = verifyWorkload(*W, Config);
+    transform::FieldMap Identity(W->hotLayout());
+    runtime::RunResult Detached =
+        workloads::runWorkload(*W, Identity, Config.Driver, /*Attach=*/false)
+            .Result;
+    EXPECT_EQ(V.Before.ElapsedCycles, Detached.ElapsedCycles);
+    EXPECT_EQ(V.Before.Instructions, Detached.Instructions);
+    EXPECT_EQ(V.Before.MemoryAccesses, Detached.MemoryAccesses);
+    for (unsigned Level = 0; Level != 3; ++Level) {
+      EXPECT_EQ(V.Before.Accesses[Level], Detached.Accesses[Level])
+          << "level " << Level;
+      EXPECT_EQ(V.Before.Misses[Level], Detached.Misses[Level])
+          << "level " << Level;
+    }
+    EXPECT_NE(V.Mode, ApplyMode::None);
+    EXPECT_TRUE(V.ResultsMatch);
+  }
 }
 
 // analyze() keeps no state between calls, so one analyzer may serve

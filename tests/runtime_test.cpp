@@ -4,6 +4,9 @@
 #include "ir/ProgramBuilder.h"
 #include "profile/ProfileIO.h"
 #include "runtime/ThreadedRuntime.h"
+#include "transform/FieldMap.h"
+#include "workloads/Driver.h"
+#include "workloads/Registry.h"
 
 #include <gtest/gtest.h>
 
@@ -249,6 +252,40 @@ TEST(ThreadedRuntime, SampleHandlerCostCharged) {
   EXPECT_EQ(Costly, Cheap + SamplesCostly * 1000);
 }
 
+TEST(ThreadedRuntime, DetachedElapsedTakesTheUnchargedSlowestThread) {
+  // One phase, two threads: a compute-only thread (no accesses, so no
+  // samples) outlasts the storing thread until the storing thread's
+  // sample charge is added. The detached elapsed time must follow the
+  // uncharged slowest thread, not the charged one.
+  auto Execute = [](bool Attach) {
+    RunConfig Cfg;
+    Cfg.AttachProfiler = Attach;
+    Cfg.Sampling.Flavor = pmu::PmuFlavor::IbsOp; // Samples stores too.
+    Cfg.Sampling.Period = 16;
+    Cfg.SampleHandlerCycles = 10000;
+    ThreadedRuntime RT(Cfg);
+    SharedArrayProgram Prog(RT.machine(), 4000, 1);
+    ir::Function &Compute = Prog.P.addFunction("compute", 0);
+    {
+      ir::ProgramBuilder B(Prog.P, Compute);
+      B.work(1000000);
+      B.ret();
+    }
+    analysis::CodeMap Map(Prog.P);
+    RT.runPhase(Prog.P, &Map,
+                {ThreadSpec{Prog.MainId, {}}, ThreadSpec{Compute.Id, {}}});
+    return RT.finish();
+  };
+  RunResult Attached = Execute(/*Attach=*/true);
+  RunResult Detached = Execute(/*Attach=*/false);
+  // Per-thread profiles carry charged cycles; the compute thread takes
+  // no samples. Uncharged it is the slowest, charged it is not.
+  ASSERT_EQ(Attached.Profiles.size(), 2u);
+  EXPECT_EQ(Attached.Profiles[1].Cycles, Detached.ElapsedCycles);
+  EXPECT_GT(Attached.Profiles[0].Cycles, Attached.Profiles[1].Cycles);
+  EXPECT_EQ(Attached.DetachedElapsedCycles, Detached.ElapsedCycles);
+}
+
 TEST(ThreadedRuntime, ElapsedIsMaxPerPhase) {
   // Two workers with very different work: elapsed cycles reflect the
   // slower one, not the sum.
@@ -321,4 +358,70 @@ TEST(PredecodedEngine, BitIdenticalWithReferenceCore) {
     expectIdenticalRuns(Ref, Pre);
     EXPECT_GT(Ref.Samples, 0u);
   }
+}
+
+// The PMU only observes accesses: attaching the profiler changes no
+// simulated outcome except the per-sample handler charge, which
+// DetachedElapsedCycles folds out phase by phase. core::verifyWorkload
+// takes its detached baseline from the profiled run on this premise.
+TEST(Runtime, ProfilerNeverPerturbsTheSimulation) {
+  auto Compare = [](const workloads::Workload &W, const RunConfig &Cfg,
+                    const std::string &What) {
+    SCOPED_TRACE(W.name() + ", " + What);
+    workloads::DriverConfig D;
+    D.Run = Cfg;
+    D.Scale = 0.1;
+    D.WorkerThreads = 1;
+    transform::FieldMap Identity(W.hotLayout());
+    RunResult Attached =
+        workloads::runWorkload(W, Identity, D, /*Attach=*/true).Result;
+    RunResult Detached =
+        workloads::runWorkload(W, Identity, D, /*Attach=*/false).Result;
+    EXPECT_GT(Attached.Samples, 0u);
+    EXPECT_EQ(Attached.Instructions, Detached.Instructions);
+    EXPECT_EQ(Attached.MemoryAccesses, Detached.MemoryAccesses);
+    for (unsigned Level = 0; Level != 3; ++Level) {
+      EXPECT_EQ(Attached.Accesses[Level], Detached.Accesses[Level])
+          << "level " << Level;
+      EXPECT_EQ(Attached.Misses[Level], Detached.Misses[Level])
+          << "level " << Level;
+    }
+    EXPECT_EQ(Attached.ReturnValues, Detached.ReturnValues);
+    EXPECT_EQ(Detached.DetachedElapsedCycles, Detached.ElapsedCycles);
+    EXPECT_EQ(Attached.DetachedElapsedCycles, Detached.ElapsedCycles);
+    EXPECT_EQ(Attached.TotalCycles,
+              Detached.TotalCycles +
+                  Attached.Samples * Cfg.SampleHandlerCycles);
+    return std::pair(Attached, Detached);
+  };
+
+  std::vector<std::pair<std::string, RunConfig>> Configs(4);
+  Configs[0].first = "default sampling";
+  Configs[1].first = "reservoir 64";
+  Configs[1].second.Sampling.ReservoirCapacity = 64;
+  Configs[2].first = "governor 500/M";
+  Configs[2].second.Sampling.SampleBudgetPerMAccess = 500;
+  Configs[3].first = "IBS period 97";
+  Configs[3].second.Sampling.Flavor = pmu::PmuFlavor::IbsOp;
+  Configs[3].second.Sampling.Period = 97;
+
+  std::vector<std::unique_ptr<workloads::Workload>> Ws =
+      workloads::makePaperWorkloads();
+  for (auto &W : workloads::makeExtraWorkloads())
+    Ws.push_back(std::move(W));
+  for (const auto &W : Ws)
+    for (const auto &[What, Cfg] : Configs)
+      Compare(*W, Cfg, What);
+
+  // Dense sampling with a huge charge on a multi-threaded workload:
+  // workers of one phase overlap, so subtracting the run's total charge
+  // from ElapsedCycles takes off charges that never added to it.
+  RunConfig Sharp;
+  Sharp.Sampling.Period = 16;
+  Sharp.SampleHandlerCycles = 1000000;
+  auto [Attached, Detached] =
+      Compare(*workloads::makeClomp(), Sharp, "period 16, charge 1e6");
+  EXPECT_NE(Attached.ElapsedCycles,
+            Detached.ElapsedCycles +
+                Attached.Samples * Sharp.SampleHandlerCycles);
 }
