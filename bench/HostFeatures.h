@@ -4,37 +4,31 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Every BENCH_*.json header records the host's vector capabilities and
-// the tier the SIMD stride kernel actually dispatches to, so throughput
-// trajectories are comparable across hosts (an AVX2 box and a
-// forced-scalar CI runner produce legitimately different numbers).
+// Every BENCH_*.json header records the host's vector capabilities, so
+// throughput trajectories are comparable across hosts.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef STRUCTSLIM_BENCH_HOSTFEATURES_H
 #define STRUCTSLIM_BENCH_HOSTFEATURES_H
 
-#include "core/StrideKernel.h"
-#include "support/Simd.h"
-
 #include <string>
 
 namespace structslim {
 
 /// JSON fields (each line indented two spaces, trailing ",\n") naming
-/// the host CPU features and the active kernel dispatch tier. Splice
-/// directly after the "bench" field of a BENCH_*.json header.
+/// the host CPU features. Splice directly after the "bench" field of a
+/// BENCH_*.json header.
 inline std::string hostFeatureJsonFields() {
-  namespace simd = support::simd;
+#if defined(__x86_64__) || defined(__i386__)
+  bool Avx2 = __builtin_cpu_supports("avx2");
+  bool Sse2 = __builtin_cpu_supports("sse2");
+#else
+  bool Avx2 = false, Sse2 = false;
+#endif
   std::string Out;
-  Out += std::string("  \"host_avx2\": ") +
-         (simd::hostAvx2() ? "true" : "false") + ",\n";
-  Out += std::string("  \"host_sse2\": ") +
-         (simd::hostSse2() ? "true" : "false") + ",\n";
-  Out += std::string("  \"simd_forced_scalar\": ") +
-         (simd::scalarForced() ? "true" : "false") + ",\n";
-  Out += std::string("  \"stride_kernel_level\": \"") +
-         simd::levelName(core::strideKernelLevel()) + "\",\n";
+  Out += std::string("  \"host_avx2\": ") + (Avx2 ? "true" : "false") + ",\n";
+  Out += std::string("  \"host_sse2\": ") + (Sse2 ? "true" : "false") + ",\n";
   return Out;
 }
 

@@ -79,8 +79,7 @@ int main(int argc, char **argv) {
     }
     Loaded.push_back(std::move(*P));
   }
-  profile::Profile Merged =
-      profile::mergeProfiles(std::move(Loaded), /*WorkerThreads=*/0);
+  profile::Profile Merged = profile::mergeProfiles(std::move(Loaded));
   std::cout << "\nmerged profile: " << Merged.TotalSamples
             << " samples across all threads\n\n";
 

@@ -65,7 +65,7 @@ struct AnalysisConfig {
   /// Field clustering algorithm.
   ClusteringMethod Clustering = ClusteringMethod::Threshold;
   /// Ignored; kept only because perfbench/ sets it. Analysis is one
-  /// serial pass (the merge fan-out takes the job count instead).
+  /// serial pass.
   unsigned Jobs = 0;
 };
 

@@ -25,7 +25,7 @@
 ///
 /// Simulation counters are schedule- and host-independent, so
 /// before/after deltas — and the JSON rendering — are byte-stable
-/// across hosts and --jobs values.
+/// across hosts and STRUCTSLIM_THREADS settings.
 ///
 //===----------------------------------------------------------------------===//
 

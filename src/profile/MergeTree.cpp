@@ -23,22 +23,12 @@ inline double secondsSince(Clock::time_point Start) {
   return std::chrono::duration<double>(Clock::now() - Start).count();
 }
 
-/// Per-thread merge scratch: pool workers are long-lived, so the
-/// epoch-tagged tables warm up once and every later merge on that
-/// thread is allocation-free.
-MergeScratch &threadScratch() {
-  thread_local MergeScratch Scratch;
-  return Scratch;
-}
-
 } // namespace
 
 Profile structslim::profile::mergeProfiles(std::vector<Profile> Profiles,
-                                           unsigned WorkerThreads) {
+                                           unsigned /*WorkerThreads*/) {
   if (Profiles.empty())
     return Profile();
-  if (WorkerThreads == 0)
-    WorkerThreads = support::ThreadPool::defaultThreadCount();
 
   // Hash every distinct object key string exactly once for the whole
   // batch; the merges below then match objects by u32 id through
@@ -48,20 +38,13 @@ Profile structslim::profile::mergeProfiles(std::vector<Profile> Profiles,
     P.internObjectKeys(Interner);
 
   // Reduce adjacent pairs level by level; an odd tail is promoted
-  // unmerged. This is the canonical tree shape (see MergeTree.h) —
-  // only the executor of the independent pairs varies with the thread
-  // count, never the pairing.
+  // unmerged. This is the canonical tree shape (see MergeTree.h).
+  MergeScratch Scratch;
   while (Profiles.size() > 1) {
     size_t Pairs = Profiles.size() / 2;
     bool Odd = (Profiles.size() & 1) != 0;
-    auto MergeOne = [&Profiles](size_t I) {
-      Profiles[2 * I].merge(Profiles[2 * I + 1], threadScratch());
-    };
-    if (WorkerThreads > 1 && Pairs > 1)
-      support::ThreadPool::global().parallelFor(0, Pairs, MergeOne);
-    else
-      for (size_t I = 0; I != Pairs; ++I)
-        MergeOne(I);
+    for (size_t I = 0; I != Pairs; ++I)
+      Profiles[2 * I].merge(Profiles[2 * I + 1], Scratch);
     // Compact the survivors to the front (index 0 is already home).
     for (size_t I = 1; I != Pairs; ++I)
       Profiles[I] = std::move(Profiles[2 * I]);

@@ -1,4 +1,4 @@
-//===- profile/MergeTree.h - Parallel reduction-tree merge -----*- C++ -*-===//
+//===- profile/MergeTree.h - Reduction-tree profile merge ------*- C++ -*-===//
 //
 // Part of the StructSlim reproduction of Roy & Liu, CGO 2016.
 //
@@ -7,8 +7,7 @@
 /// \file
 /// Merges per-thread profiles with a reduction tree (paper Sec. 5.2,
 /// citing Tallent et al.'s scalable call-path merging): profiles are
-/// combined pairwise level by level, and independent pairs within a
-/// level merge on worker threads.
+/// combined pairwise level by level.
 ///
 /// The canonical tree pairs ADJACENT profiles — (0,1), (2,3), ... with
 /// an odd tail promoted unmerged — because that shape can be produced
@@ -16,13 +15,14 @@
 /// subtrees as shards arrive in file order yields exactly the same
 /// tree. Profile::merge is not associative (cross-profile RepAddr
 /// differences sharpen stride GCDs, Sec. 4.4), so the tree shape is
-/// part of the output contract; every path through this file —
-/// serial, parallel pairs, streaming accumulation at any job count —
-/// reproduces this one shape bit for bit.
+/// part of the output contract; both paths through this file — the
+/// in-memory level tree and streaming accumulation at any job count —
+/// reproduce this one shape bit for bit.
 ///
-/// The file-loading front end streams: shards decode on the shared
-/// support::ThreadPool while the coordinator consumes them in file
-/// order and folds them into the accumulator, so at most O(jobs)
+/// The in-memory merge runs serially on the calling thread. The
+/// file-loading front end streams: shards decode in parallel on the
+/// shared support::ThreadPool while the coordinator consumes them in
+/// file order and folds them into the accumulator, so at most O(jobs)
 /// decoded shards are resident at once (plus the accumulator's
 /// O(log shards) stack) instead of the whole input set.
 ///
@@ -48,12 +48,9 @@
 namespace structslim {
 namespace profile {
 
-/// Merges all \p Profiles into one. \p WorkerThreads > 1 merges
-/// independent pairs concurrently on the shared support::ThreadPool;
-/// 1 runs the same tree serially; 0 (the default) sizes from
-/// ThreadPool::defaultThreadCount() (STRUCTSLIM_THREADS env var, else
-/// hardware_concurrency). The result is identical for every setting.
-/// Consumes the input vector.
+/// Merges all \p Profiles into one along the canonical adjacent-pair
+/// tree, serially on the calling thread. Consumes the input vector.
+/// \p WorkerThreads is ignored; kept only because perfbench/ sets it.
 Profile mergeProfiles(std::vector<Profile> Profiles,
                       unsigned WorkerThreads = 0);
 
@@ -65,8 +62,8 @@ struct MergeOptions {
   /// never exposes a partial merge. Otherwise bad shards are skipped
   /// and reported in MergeLoadResult::Skipped.
   bool Strict = false;
-  /// Decode parallelism and (via mergeProfiles) merge parallelism.
-  /// 0 sizes from ThreadPool::defaultThreadCount().
+  /// Decode parallelism of the streaming loader; 0 sizes from
+  /// ThreadPool::defaultThreadCount().
   unsigned WorkerThreads = 0;
 };
 

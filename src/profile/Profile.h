@@ -79,8 +79,8 @@ struct StreamRecord {
 /// Assigns process-wide u32 ids to object key strings, so a whole
 /// merge batch hashes each distinct key string exactly once (at intern
 /// time) and every subsequent merge matches objects by id. Not
-/// thread-safe: interning happens serially before a reduction fans
-/// out; the parallel merges only read the ids stored in the profiles.
+/// thread-safe: the streaming loader decodes shards in parallel but
+/// interns their keys on its one coordinator thread.
 class ObjectKeyInterner {
 public:
   /// The id for \p Key, assigning the next free one on first use.
@@ -118,8 +118,8 @@ private:
 /// Reusable per-merge-chain scratch for the batched (interned) merge:
 /// an epoch-tagged global-id -> local-object-index table plus the remap
 /// vector, so the steady-state merge allocates nothing and never
-/// hashes a string. One scratch per thread of a parallel reduction;
-/// epochs make stale contents from earlier merges harmless.
+/// hashes a string. One scratch per reduction, reused across its
+/// merges; epochs make stale contents from earlier merges harmless.
 class MergeScratch {
   friend class Profile;
   std::vector<uint32_t> Local;

@@ -2,6 +2,9 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/ParseNumber.h"
+
+#include <cstdio>
 #include <cstdlib>
 
 using namespace structslim;
@@ -13,9 +16,15 @@ FaultInjector &FaultInjector::instance() {
 }
 
 FaultInjector::FaultInjector() {
-  if (const char *Seed = std::getenv("STRUCTSLIM_FAULT_SEED"))
-    if (*Seed)
-      armChaos(std::strtoull(Seed, nullptr, 10));
+  const char *Seed = std::getenv("STRUCTSLIM_FAULT_SEED");
+  if (!Seed || !*Seed)
+    return;
+  uint64_t Value = 0;
+  if (parseUnsigned(Seed, Value))
+    armChaos(Value);
+  else
+    std::fprintf(stderr, "warning: ignoring STRUCTSLIM_FAULT_SEED = '%s'\n",
+                 Seed);
 }
 
 void FaultInjector::reset() {

@@ -22,9 +22,10 @@
 ///                       pressure).
 ///
 /// Tests arm exact faults ("fail the 3rd open"); setting the
-/// STRUCTSLIM_FAULT_SEED environment variable arms a pseudo-random
-/// chaos mode that is fully reproducible for a given seed and hit
-/// sequence. Unarmed, every hook is a single relaxed atomic load.
+/// STRUCTSLIM_FAULT_SEED environment variable to a whole decimal number
+/// arms a pseudo-random chaos mode that is fully reproducible for a
+/// given seed and hit sequence (a malformed seed is ignored with a
+/// warning). Unarmed, every hook is a single relaxed atomic load.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Whole-string number parsing for command-line flag values. Both
+/// Whole-string number parsing for command-line flag values and
+/// numeric environment variables (STRUCTSLIM_THREADS,
+/// STRUCTSLIM_FAULT_SEED). Both
 /// parsers reject "", "abc", "1x", leading whitespace, a leading '+'
 /// and values that do not fit; on failure \p Out is left untouched.
 /// Range checks (a positive scale, a nonzero period) stay with the

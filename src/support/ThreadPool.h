@@ -1,20 +1,19 @@
-//===- support/ThreadPool.h - Work-stealing thread pool --------*- C++ -*-===//
+//===- support/ThreadPool.h - FIFO task pool -------------------*- C++ -*-===//
 //
 // Part of the StructSlim reproduction of Roy & Liu, CGO 2016.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reusable work-stealing thread pool shared by every parallel
-/// component: MergeTree reduces profile pairs on it, and the workload
-/// Driver sizes its merge from it.
-///
-/// Each worker owns a deque; it pops work from the back and steals from
-/// the front of other workers' deques when its own runs dry.
-/// Determinism never depends on the schedule.
+/// The worker pool behind the streaming shard loader (MergeTree): the
+/// loader submits one decode task per shard and consumes the results in
+/// file order, so the pool runs tasks from one FIFO queue — the oldest
+/// shard is always decoded first. Determinism never depends on the
+/// schedule.
 ///
 /// The default worker count comes from the STRUCTSLIM_THREADS
-/// environment variable when set, otherwise from
+/// environment variable when it holds a whole positive decimal number
+/// (clamped to [1, 256]), otherwise from
 /// std::thread::hardware_concurrency().
 ///
 //===----------------------------------------------------------------------===//
@@ -23,7 +22,6 @@
 #define STRUCTSLIM_SUPPORT_THREADPOOL_H
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -38,49 +36,32 @@ public:
   /// Creates a pool with \p Workers OS threads; 0 means
   /// defaultThreadCount().
   explicit ThreadPool(unsigned Workers = 0);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  unsigned getWorkerCount() const;
-
-  /// Runs every task and blocks until all of them have finished. Tasks
-  /// are distributed one per worker deque, so with getWorkerCount() >=
-  /// Tasks.size() each task runs on its own OS thread.
-  void run(const std::vector<std::function<void()>> &Tasks);
-
-  /// Calls Body(I) for every I in [Begin, End), distributing indices
-  /// over the workers; blocks until all calls returned. The calling
-  /// thread participates, so the pool works even with zero free
-  /// workers.
-  void parallelFor(size_t Begin, size_t End,
-                   const std::function<void(size_t)> &Body);
-
   /// Enqueues one task and returns immediately. The caller owns
-  /// completion tracking (the streaming merge loader counts its slots);
-  /// the destructor still drains every queued task before joining.
+  /// completion tracking (the streaming merge loader counts its slots).
   void submit(std::function<void()> Task);
 
   /// Process-wide shared pool, lazily created at defaultThreadCount().
   static ThreadPool &global();
 
-  /// STRUCTSLIM_THREADS when set (clamped to [1, 256]), otherwise
-  /// hardware_concurrency(), never 0.
+  /// STRUCTSLIM_THREADS when it is a whole positive number (clamped to
+  /// [1, 256]), otherwise hardware_concurrency(), never 0. A malformed
+  /// value counts as unset and prints one warning on stderr.
   static unsigned defaultThreadCount();
 
 private:
-  struct Worker;
-  struct TaskGroup;
+  void workerLoop();
 
-  void workerLoop(size_t Index);
-  bool trySteal(size_t Self, std::function<void()> &Out);
-
-  mutable std::mutex Mutex; ///< Guards Workers and all deques.
+  std::mutex Mutex; ///< Guards Queue and ShuttingDown.
   std::condition_variable WorkAvailable;
-  std::vector<std::unique_ptr<Worker>> Workers;
-  size_t NextDeque = 0; ///< Round-robin submission cursor.
+  std::deque<std::function<void()>> Queue;
   bool ShuttingDown = false;
+  std::vector<std::thread> Workers; ///< Last: the threads use the above.
 };
 
 } // namespace support

@@ -34,9 +34,8 @@ struct DriverConfig {
   runtime::RunConfig Run;
   core::AnalysisConfig Analysis;
   double Scale = 1.0;
-  /// Host threads for profile merging (and the default pool size).
-  /// 0 = auto: the STRUCTSLIM_THREADS environment variable when set,
-  /// otherwise std::thread::hardware_concurrency().
+  /// Ignored; kept only because perfbench/ sets it. The per-thread
+  /// profiles merge serially (profile::mergeProfiles).
   unsigned WorkerThreads = 0;
 };
 

@@ -50,7 +50,6 @@ std::string goldenPath(const std::string &WorkloadName) {
 workloads::DriverConfig pinnedConfig() {
   workloads::DriverConfig Config;
   Config.Scale = 0.1;
-  Config.WorkerThreads = 1;
   return Config;
 }
 

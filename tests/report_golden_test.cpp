@@ -42,9 +42,11 @@ struct CommandResult {
   std::string Output; ///< stdout and stderr, interleaved.
 };
 
-/// Runs the report tool with \p Args appended; captures both streams.
-CommandResult runReport(const std::vector<std::string> &Args) {
-  std::string Cmd = std::string(STRUCTSLIM_REPORT_BIN);
+/// Runs the report tool with \p Args appended and \p Env (shell
+/// "NAME=value " assignments) in front; captures both streams.
+CommandResult runReport(const std::vector<std::string> &Args,
+                        const std::string &Env = "") {
+  std::string Cmd = Env + std::string(STRUCTSLIM_REPORT_BIN);
   for (const std::string &A : Args)
     Cmd += " " + A;
   Cmd += " 2>&1";
@@ -119,6 +121,21 @@ TEST(ReportGolden, StrictExitsNonzeroNamingThePath) {
   EXPECT_NE(R.Output.find("corrupt.structslim"), std::string::npos);
   // Strict failed fast: no report was produced.
   EXPECT_EQ(R.Output.find("merged"), std::string::npos);
+}
+
+// A malformed fault seed counts as unset: no chaos is armed, the
+// report is the golden one, and one warning names the ignored value.
+TEST(ReportGolden, MalformedFaultSeedIsIgnoredWithWarning) {
+  CommandResult R = runReport(fixtureShards(), "STRUCTSLIM_FAULT_SEED=7x ");
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  const std::string Warning =
+      "warning: ignoring STRUCTSLIM_FAULT_SEED = '7x'\n";
+  size_t At = R.Output.find(Warning);
+  ASSERT_NE(At, std::string::npos) << R.Output;
+  std::string Report = R.Output;
+  Report.erase(At, Warning.size());
+  EXPECT_EQ(Report.find("warning:"), std::string::npos) << R.Output;
+  EXPECT_EQ(Report, readFileBytes(dataPath("golden_report.txt")));
 }
 
 TEST(ReportGolden, AllShardsUnreadableFailsEvenWhenLenient) {

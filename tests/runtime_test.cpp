@@ -371,7 +371,6 @@ TEST(Runtime, ProfilerNeverPerturbsTheSimulation) {
     workloads::DriverConfig D;
     D.Run = Cfg;
     D.Scale = 0.1;
-    D.WorkerThreads = 1;
     transform::FieldMap Identity(W.hotLayout());
     RunResult Attached =
         workloads::runWorkload(W, Identity, D, /*Attach=*/true).Result;

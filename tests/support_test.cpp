@@ -15,10 +15,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace structslim;
 
@@ -380,24 +386,79 @@ TEST(MappedFile, NoMmapEnvForcesBufferedFallback) {
 // --- ThreadPool (also run under ThreadSanitizer) -------------------------
 
 TEST(ThreadPool, RunExecutesEveryTaskOnce) {
-  support::ThreadPool Pool(4);
+  std::vector<std::atomic<int>> Ran(1000);
+  std::mutex Mutex;
+  std::condition_variable AllDone;
+  size_t Done = 0;
+  support::ThreadPool Pool(4); // Joined before the state above dies.
+  for (size_t I = 0; I != Ran.size(); ++I)
+    Pool.submit([&, I] {
+      Ran[I].fetch_add(1);
+      std::lock_guard<std::mutex> Lock(Mutex);
+      if (++Done == Ran.size())
+        AllDone.notify_one();
+    });
+  {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    AllDone.wait(Lock, [&] { return Done == Ran.size(); });
+  }
+  for (size_t I = 0; I != Ran.size(); ++I)
+    ASSERT_EQ(Ran[I].load(), 1) << I;
+}
+
+// The streaming shard loader's frame outlives its tasks only because
+// the pool runs every queued task before its workers exit.
+TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
   std::atomic<int> Count{0};
-  std::vector<std::function<void()>> Tasks(
-      64, [&Count] { Count.fetch_add(1); });
-  Pool.run(Tasks);
+  {
+    support::ThreadPool Pool(2);
+    for (int I = 0; I != 64; ++I)
+      Pool.submit([&Count] {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        Count.fetch_add(1);
+      });
+  }
   EXPECT_EQ(Count.load(), 64);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactly) {
-  support::ThreadPool Pool(3);
-  std::vector<std::atomic<int>> Touched(1000);
-  Pool.parallelFor(0, Touched.size(),
-                   [&Touched](size_t I) { Touched[I].fetch_add(1); });
-  for (size_t I = 0; I != Touched.size(); ++I)
-    ASSERT_EQ(Touched[I].load(), 1) << I;
+// One worker runs tasks in submission order, so the loader's oldest
+// shard is always decoded first.
+TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
+  std::vector<int> Order;
+  {
+    support::ThreadPool Pool(1);
+    for (int I = 0; I != 32; ++I)
+      Pool.submit([&Order, I] { Order.push_back(I); });
+  }
+  ASSERT_EQ(Order.size(), 32u);
+  for (int I = 0; I != 32; ++I)
+    EXPECT_EQ(Order[I], I);
 }
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnvOverride) {
-  // The pool never reports zero threads, env var or not.
-  EXPECT_GE(support::ThreadPool::defaultThreadCount(), 1u);
+#if defined(__unix__) || defined(__APPLE__)
+  const char *Name = "STRUCTSLIM_THREADS";
+  const char *Saved = std::getenv(Name);
+  std::string SavedValue = Saved ? Saved : "";
+  ASSERT_EQ(::unsetenv(Name), 0);
+  unsigned Unset = support::ThreadPool::defaultThreadCount();
+  EXPECT_GE(Unset, 1u);
+  struct Case {
+    const char *Value;
+    unsigned Want;
+  } Cases[] = {{"3", 3},      {"300", 256}, {"256", 256}, {"1", 1},
+               {"0", Unset},  {"-1", Unset}, {"3x", Unset}, {"", Unset},
+               {" 3", Unset}, {"+3", Unset}};
+  for (const Case &C : Cases) {
+    ASSERT_EQ(::setenv(Name, C.Value, 1), 0);
+    EXPECT_EQ(support::ThreadPool::defaultThreadCount(), C.Want)
+        << "STRUCTSLIM_THREADS='" << C.Value << "'";
+  }
+  if (Saved)
+    ::setenv(Name, SavedValue.c_str(), 1);
+  else
+    ::unsetenv(Name);
+#else
+  GTEST_SKIP() << "no setenv on this platform";
+#endif
 }

@@ -95,11 +95,8 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // The pinned deterministic configuration the golden tests use: one
-  // worker — byte-stable output.
   workloads::DriverConfig Config;
   Config.Scale = Scale;
-  Config.WorkerThreads = 1;
 
   for (const auto &W : Selected) {
     transform::FieldMap Identity(W->hotLayout());

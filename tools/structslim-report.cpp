@@ -30,7 +30,7 @@
 //                      after the report; JSON mode: they are embedded
 //                      in the document anyway, --stats adds the table
 //                      on stderr)
-//     --jobs=N         shard merge worker threads (default 0 = auto:
+//     --jobs=N         shard decode parallelism (default 0 = auto:
 //                      STRUCTSLIM_THREADS env var, else all host
 //                      cores); output is identical for every setting
 //     --strict         fail on the first unreadable profile instead of
