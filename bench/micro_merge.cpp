@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 //
 // Throughput of the shard ingestion pipeline (paper Sec. 5.2): a
-// synthetic many-thread run writes N profile shards to disk in both
-// the v2 text format and the v3 binary format, then measures
+// synthetic many-thread run writes N v3 profile shards to disk, then
+// measures
 //
-//  - the pre-PR baseline: v2 text decode + string-keyed adjacent-pair
-//    tree merge, single-threaded;
-//  - the current pipeline (loadAndMergeProfiles): v3 decode + interned
-//    allocation-free merge, streamed, at jobs=1/2/4;
-//  - raw decode throughput of v2 vs v3 for the same profiles.
+//  - the baseline: decode every shard, then one in-memory
+//    mergeProfiles over all of them, single-threaded;
+//  - the streaming loader (loadAndMergeProfiles), which folds each
+//    shard into the tree as it arrives, at jobs=1/2/4.
 //
 // Every configuration must produce byte-identical merged profiles —
 // the bench asserts it by comparing serialized results — and the
 // headline number is the single-core (jobs=1) speedup over the
 // baseline at the largest shard count. Peak resident decoded profiles
-// are reported as the memory proxy: the streaming loader holds O(jobs)
-// shards, the baseline holds all N.
+// are reported as the memory proxy: the streaming loader holds
+// O(jobs + log N) profiles, the baseline holds all N.
 //
 // Writes BENCH_merge.json (override the path with argv[1]).
 // --smoke shrinks shard count and sizes for CI.
@@ -106,36 +105,21 @@ Profile makeShard(unsigned Shard, unsigned Objects, unsigned StreamsPerObject,
   return P;
 }
 
-/// The pre-PR pipeline: decode a text shard per file, then reduce with
-/// the string-keyed merge over the same adjacent-pair tree shape the
-/// current code uses — so the result is byte-comparable and the
-/// measured delta is decode + merge mechanics, not tree shape.
+/// The baseline: every shard decoded and resident at once, then the
+/// in-memory adjacent-pair tree — the same tree shape, so the result
+/// is byte-comparable and the delta is streaming, not tree shape.
 Profile baselineMerge(const std::vector<std::string> &Files) {
   std::vector<Profile> Profiles;
   Profiles.reserve(Files.size());
   for (const std::string &Path : Files) {
-    std::ifstream In(Path, std::ios::binary);
-    std::string Bytes((std::istreambuf_iterator<char>(In)),
-                      std::istreambuf_iterator<char>());
-    auto P = profile::profileFromBytes(Bytes);
+    auto P = profile::readProfileFile(Path);
     if (!P) {
       std::cerr << "baseline failed to read " << Path << "\n";
       std::exit(1);
     }
     Profiles.push_back(std::move(*P));
   }
-  while (Profiles.size() > 1) {
-    size_t Pairs = Profiles.size() / 2;
-    bool Odd = (Profiles.size() & 1) != 0;
-    for (size_t I = 0; I != Pairs; ++I)
-      Profiles[2 * I].merge(Profiles[2 * I + 1]); // String-keyed path.
-    for (size_t I = 1; I != Pairs; ++I)
-      Profiles[I] = std::move(Profiles[2 * I]);
-    if (Odd)
-      Profiles[Pairs] = std::move(Profiles.back());
-    Profiles.resize(Pairs + (Odd ? 1 : 0));
-  }
-  return std::move(Profiles.front());
+  return profile::mergeProfiles(std::move(Profiles));
 }
 
 double secondsSince(std::chrono::steady_clock::time_point Start) {
@@ -172,48 +156,15 @@ int main(int argc, char **argv) {
                  ("structslim_micro_merge_" + std::to_string(::getpid()));
   fs::create_directories(Dir);
 
-  // Write every shard in both formats.
-  std::vector<std::string> FilesV2, FilesV3;
-  uint64_t BytesV2 = 0, BytesV3 = 0;
+  std::vector<std::string> Files;
+  uint64_t ShardBytes = 0;
   for (unsigned I = 0; I != MaxShards; ++I) {
-    Profile Shard = makeShard(I, Objects, StreamsPerObject, CctNodes);
-    std::string V2 = profile::profileToString(Shard, 2);
-    std::string V3 = profile::profileToString(Shard, 3);
-    BytesV2 += V2.size();
-    BytesV3 += V3.size();
-    fs::path P2 = Dir / ("shard" + std::to_string(I) + ".v2.structslim");
-    fs::path P3 = Dir / ("shard" + std::to_string(I) + ".v3.structslim");
-    std::ofstream(P2, std::ios::binary) << V2;
-    std::ofstream(P3, std::ios::binary) << V3;
-    FilesV2.push_back(P2.string());
-    FilesV3.push_back(P3.string());
-  }
-
-  // Raw decode throughput, v2 text vs v3 binary, same profiles.
-  double DecodeV2 = 0, DecodeV3 = 0;
-  {
-    std::vector<std::string> BufV2, BufV3;
-    for (unsigned I = 0; I != MaxShards; ++I) {
-      std::ifstream In2(FilesV2[I], std::ios::binary);
-      BufV2.emplace_back((std::istreambuf_iterator<char>(In2)),
-                         std::istreambuf_iterator<char>());
-      std::ifstream In3(FilesV3[I], std::ios::binary);
-      BufV3.emplace_back((std::istreambuf_iterator<char>(In3)),
-                         std::istreambuf_iterator<char>());
-    }
-    unsigned DecodeReps = Smoke ? 1 : 3;
-    auto T2 = std::chrono::steady_clock::now();
-    for (unsigned R = 0; R != DecodeReps; ++R)
-      for (const std::string &B : BufV2)
-        if (!profile::profileFromBytes(B))
-          return 1;
-    DecodeV2 = secondsSince(T2) / DecodeReps;
-    auto T3 = std::chrono::steady_clock::now();
-    for (unsigned R = 0; R != DecodeReps; ++R)
-      for (const std::string &B : BufV3)
-        if (!profile::profileFromBytes(B))
-          return 1;
-    DecodeV3 = secondsSince(T3) / DecodeReps;
+    std::string Bytes = profile::profileToString(
+        makeShard(I, Objects, StreamsPerObject, CctNodes));
+    ShardBytes += Bytes.size();
+    fs::path Path = Dir / ("shard" + std::to_string(I) + ".structslim");
+    std::ofstream(Path, std::ios::binary) << Bytes;
+    Files.push_back(Path.string());
   }
 
   TablePrinter Table;
@@ -234,13 +185,7 @@ int main(int argc, char **argv) {
   Json += "  \"objects_per_shard\": " + std::to_string(Objects) + ",\n";
   Json += "  \"streams_per_object\": " + std::to_string(StreamsPerObject) +
           ",\n";
-  Json += "  \"decode\": {\"shards\": " + std::to_string(MaxShards) +
-          ", \"v2_bytes\": " + std::to_string(BytesV2) +
-          ", \"v3_bytes\": " + std::to_string(BytesV3) +
-          ", \"v2_seconds\": " + std::to_string(DecodeV2) +
-          ", \"v3_seconds\": " + std::to_string(DecodeV3) +
-          ", \"v3_decode_speedup\": " +
-          std::to_string(DecodeV3 > 0 ? DecodeV2 / DecodeV3 : 0.0) + "},\n";
+  Json += "  \"shard_bytes\": " + std::to_string(ShardBytes) + ",\n";
   Json += "  \"points\": [\n";
 
   bool AllIdentical = true;
@@ -248,29 +193,28 @@ int main(int argc, char **argv) {
   bool FirstPoint = true;
 
   for (unsigned Shards : ShardCounts) {
-    std::vector<std::string> SubV2(FilesV2.begin(), FilesV2.begin() + Shards);
-    std::vector<std::string> SubV3(FilesV3.begin(), FilesV3.begin() + Shards);
+    std::vector<std::string> Sub(Files.begin(), Files.begin() + Shards);
 
     // Baseline: best of Reps.
     double BaselineSeconds = 0;
     std::string Expected;
     for (unsigned R = 0; R != Reps; ++R) {
       auto T0 = std::chrono::steady_clock::now();
-      Profile Merged = baselineMerge(SubV2);
+      Profile Merged = baselineMerge(Sub);
       double S = secondsSince(T0);
       if (R == 0 || S < BaselineSeconds)
         BaselineSeconds = S;
       if (R == 0)
         Expected = profile::profileToString(Merged);
     }
-    Table.addRow({std::to_string(Shards), "v2+string-merge", "1",
+    Table.addRow({std::to_string(Shards), "decode-all+mergeProfiles", "1",
                   formatDouble(BaselineSeconds, 4), "1.00x",
                   std::to_string(Shards), "yes"});
     if (!FirstPoint)
       Json += ",\n";
     FirstPoint = false;
     Json += "    {\"shards\": " + std::to_string(Shards) +
-            ", \"pipeline\": \"baseline_v2_string_merge\", \"jobs\": 1"
+            ", \"pipeline\": \"baseline_decode_all_merge\", \"jobs\": 1"
             ", \"ingest_merge_seconds\": " + std::to_string(BaselineSeconds) +
             ", \"speedup\": 1.0, \"peak_resident_profiles\": " +
             std::to_string(Shards) + ", \"identical\": true}";
@@ -283,7 +227,7 @@ int main(int argc, char **argv) {
         Opts.WorkerThreads = Jobs;
         auto T0 = std::chrono::steady_clock::now();
         profile::MergeLoadResult ThisLoad =
-            profile::loadAndMergeProfiles(SubV3, Opts);
+            profile::loadAndMergeProfiles(Sub, Opts);
         double S = secondsSince(T0);
         if (R == 0 || S < BestSeconds) {
           BestSeconds = S;
@@ -310,88 +254,6 @@ int main(int argc, char **argv) {
               std::to_string(Load.PeakResidentProfiles) +
               ", \"identical\": " + (Identical ? "true" : "false") + "}";
     }
-
-#if defined(__unix__) || defined(__APPLE__)
-    // The same jobs=1 pipeline with mmap disabled: isolates what the
-    // zero-copy mapped decode buys over buffered whole-file reads.
-    {
-      double BestSeconds = 0;
-      profile::MergeLoadResult Load;
-      ::setenv("STRUCTSLIM_NO_MMAP", "1", 1);
-      for (unsigned R = 0; R != Reps; ++R) {
-        profile::MergeOptions Opts;
-        Opts.WorkerThreads = 1;
-        auto T0 = std::chrono::steady_clock::now();
-        profile::MergeLoadResult ThisLoad =
-            profile::loadAndMergeProfiles(SubV3, Opts);
-        double S = secondsSince(T0);
-        if (R == 0 || S < BestSeconds) {
-          BestSeconds = S;
-          Load = std::move(ThisLoad);
-        }
-      }
-      ::unsetenv("STRUCTSLIM_NO_MMAP");
-      bool Identical = profile::profileToString(Load.Merged) == Expected &&
-                       Load.Loaded.size() == Shards;
-      AllIdentical = AllIdentical && Identical;
-      double Speedup = BestSeconds > 0 ? BaselineSeconds / BestSeconds : 0.0;
-      Table.addRow({std::to_string(Shards), "v3+buffered(no-mmap)", "1",
-                    formatDouble(BestSeconds, 4),
-                    formatDouble(Speedup, 2) + "x",
-                    std::to_string(Load.PeakResidentProfiles),
-                    Identical ? "yes" : "NO"});
-      Json += ",\n    {\"shards\": " + std::to_string(Shards) +
-              ", \"pipeline\": \"v3_buffered\", \"jobs\": 1"
-              ", \"ingest_merge_seconds\": " + std::to_string(BestSeconds) +
-              ", \"speedup\": " + std::to_string(Speedup) +
-              ", \"peak_resident_profiles\": " +
-              std::to_string(Load.PeakResidentProfiles) +
-              ", \"identical\": " + (Identical ? "true" : "false") + "}";
-    }
-#endif
-
-    // Epoch-wise accumulation (batches of 8): the incremental ingest
-    // path long-running consumers use. Must cost the same as one-shot
-    // and merge to the identical bytes — the stack IS the canonical
-    // tree's frontier.
-    {
-      const size_t Batch = 8;
-      double BestSeconds = 0;
-      size_t PeakResident = 0;
-      Profile Merged;
-      for (unsigned R = 0; R != Reps; ++R) {
-        profile::MergeOptions Opts;
-        Opts.WorkerThreads = 1;
-        auto T0 = std::chrono::steady_clock::now();
-        profile::EpochAccumulator Acc(Opts);
-        for (size_t I = 0; I < SubV3.size(); I += Batch) {
-          size_t End = std::min(I + Batch, SubV3.size());
-          Acc.addShards({SubV3.begin() + I, SubV3.begin() + End});
-        }
-        Profile ThisMerged = Acc.take();
-        double S = secondsSince(T0);
-        if (R == 0 || S < BestSeconds) {
-          BestSeconds = S;
-          PeakResident = Acc.peakResidentProfiles();
-          Merged = std::move(ThisMerged);
-        }
-      }
-      bool Identical = profile::profileToString(Merged) == Expected;
-      AllIdentical = AllIdentical && Identical;
-      double Speedup = BestSeconds > 0 ? BaselineSeconds / BestSeconds : 0.0;
-      Table.addRow({std::to_string(Shards), "v3+epoch(8)", "1",
-                    formatDouble(BestSeconds, 4),
-                    formatDouble(Speedup, 2) + "x",
-                    std::to_string(PeakResident),
-                    Identical ? "yes" : "NO"});
-      Json += ",\n    {\"shards\": " + std::to_string(Shards) +
-              ", \"pipeline\": \"v3_epoch8\", \"jobs\": 1"
-              ", \"ingest_merge_seconds\": " + std::to_string(BestSeconds) +
-              ", \"speedup\": " + std::to_string(Speedup) +
-              ", \"peak_resident_profiles\": " +
-              std::to_string(PeakResident) +
-              ", \"identical\": " + (Identical ? "true" : "false") + "}";
-    }
   }
   Json += "\n  ],\n";
 
@@ -401,7 +263,7 @@ int main(int argc, char **argv) {
   {
     profile::MergeOptions Opts;
     Opts.WorkerThreads = 1;
-    Profile Merged = profile::loadAndMergeProfiles(FilesV3, Opts).Merged;
+    Profile Merged = profile::loadAndMergeProfiles(Files, Opts).Merged;
     core::AnalysisConfig Config;
     Config.TopObjects = 1000;
     Config.MinObjectShare = 0;
@@ -422,12 +284,7 @@ int main(int argc, char **argv) {
 
   std::ofstream(JsonPath) << Json;
   Table.print(std::cout);
-  std::cout << "\nv2 decode: " << formatDouble(DecodeV2, 4) << "s, v3 decode: "
-            << formatDouble(DecodeV3, 4) << "s ("
-            << formatDouble(DecodeV2 / (DecodeV3 > 0 ? DecodeV3 : 1), 2)
-            << "x), v3 size: " << BytesV3 * 100 / (BytesV2 ? BytesV2 : 1)
-            << "% of v2\n";
-  std::cout << "Headline single-core speedup at " << MaxShards
+  std::cout << "\nHeadline single-core speedup at " << MaxShards
             << " shards: " << formatDouble(HeadlineSpeedup, 2) << "x. JSON: "
             << JsonPath << "\n";
 

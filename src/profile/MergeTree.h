@@ -63,7 +63,8 @@ struct MergeOptions {
   /// and reported in MergeLoadResult::Skipped.
   bool Strict = false;
   /// Decode parallelism of the streaming loader; 0 sizes from
-  /// ThreadPool::defaultThreadCount().
+  /// ThreadPool::defaultThreadCount(), which also caps any larger
+  /// request (the shared pool has no more workers than that).
   unsigned WorkerThreads = 0;
 };
 
@@ -80,6 +81,9 @@ struct MergeLoadResult {
   std::vector<ShardFailure> Skipped; ///< Shards dropped (or, in strict
                                      ///< mode, the one that aborted).
   bool StrictFailure = false;        ///< Strict mode hit a bad shard.
+  /// Decode jobs the load ran with: WorkerThreads (0 = auto) capped at
+  /// ThreadPool::defaultThreadCount().
+  unsigned Jobs = 0;
 
   // --- Pipeline observability (for --stats / --json timing) ---------
   /// Aggregate wall time spent decoding shards, summed across worker
@@ -94,86 +98,14 @@ struct MergeLoadResult {
   size_t PeakResidentProfiles = 0;
 };
 
-/// The binary-counter accumulator behind loadAndMergeProfiles,
-/// generalized to *epochs*: shards can be appended across any number
-/// of addShards() calls and the interior subtree levels persist
-/// between calls, so a long-running consumer (the structslim-serve
-/// direction, ROADMAP item 1) folds each arriving batch in
-/// O(batch + log2 shards) and never revisits earlier work. compact()
-/// yields the merge of everything appended so far without disturbing
-/// the accumulator, so rolling reports interleave freely with further
-/// epochs.
-///
-/// Output contract: after any schedule of addShards() calls over a
-/// file sequence, compact()/take() are bit-identical to one
-/// loadAndMergeProfiles over the concatenated sequence — the stack
-/// *is* the canonical adjacent-pair tree's frontier, so epoch
-/// boundaries cannot change the tree shape.
-///
-/// Strict mode is all-or-nothing per call *and* across epochs: a
-/// strict addShards() that hits a bad shard reports it (StrictFailure,
-/// Skipped = exactly that shard, Loaded empty) and restores the
-/// accumulator to its pre-call state, at the cost of one deep copy of
-/// the resident subtree stack taken at call entry.
-class EpochAccumulator {
-public:
-  explicit EpochAccumulator(const MergeOptions &Opts = {}) : Opts(Opts) {}
-
-  /// Loads and folds \p Files in order (decode parallelism, fault
-  /// injection, skip/strict semantics exactly as loadAndMergeProfiles).
-  /// The returned result describes *this call only* and its Merged
-  /// profile is left empty — use compact() or take() for the merge.
-  MergeLoadResult addShards(const std::vector<std::string> &Files);
-
-  /// The merge of every shard appended so far, leaving the accumulator
-  /// intact (deep-copies the resident subtrees and right-folds the
-  /// copies). Empty profile when nothing was appended.
-  Profile compact() const;
-
-  /// As compact(), but destructive: the fold consumes the stack and
-  /// the accumulator resets to empty (the interner is kept, so ids
-  /// stay stable across take() boundaries).
-  Profile take();
-
-  /// Shards successfully folded in since construction (or last take()).
-  size_t shardCount() const { return Shards; }
-
-  /// Resident merged subtrees — at most log2(shardCount()) + 1.
-  size_t residentProfiles() const { return Stack.size(); }
-
-  /// Lifetime high-water mark of resident profiles (decoded-but-
-  /// unmerged shards plus the subtree stack).
-  size_t peakResidentProfiles() const { return PeakResident; }
-
-private:
-  struct Entry {
-    Profile P;
-    uint64_t Weight = 0; ///< Leaf count, always a power of two.
-  };
-
-  /// Binary-counter push: merge equal-weight neighbors until the
-  /// strictly-decreasing-weight invariant holds again.
-  void pushLeaf(Profile P);
-
-  MergeLoadResult addSerial(const std::vector<std::string> &Files);
-  MergeLoadResult addStreaming(const std::vector<std::string> &Files,
-                               unsigned Jobs);
-
-  std::vector<Entry> Stack;
-  MergeScratch Scratch;
-  ObjectKeyInterner Interner;
-  MergeOptions Opts;
-  size_t Shards = 0;
-  size_t PeakResident = 0;
-};
-
 /// Reads every shard in \p Files (via profile::readProfileFile, so
 /// fault injection applies) and merges the readable ones, streaming:
 /// decodes run ahead on the thread pool within a bounded window while
 /// the coordinator consumes results in file order and folds them into
-/// an EpochAccumulator, so at most O(jobs + log2 shards) profiles are
-/// resident. A merge of a partial thread set is well-defined — totals
-/// cover exactly the shards in Loaded. The fault-injection site
+/// a binary-counter stack of merged subtrees (the canonical tree's
+/// frontier), so at most O(jobs + log2 shards) profiles are resident.
+/// A merge of a partial thread set is well-defined — totals cover
+/// exactly the shards in Loaded. The fault-injection site
 /// support::FaultSite::MergeShardAlloc models a failed allocation
 /// while buffering a loaded shard; it reports like a load failure.
 /// When any fault site is armed, decoding falls back to serial so the

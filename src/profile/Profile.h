@@ -90,8 +90,8 @@ public:
     return It->second;
   }
 
-  /// The string_view variant the zero-copy decoder uses: keys intern
-  /// straight from mapped file bytes, copying only on first sight.
+  /// The string_view variant the v3 decoder uses: keys intern straight
+  /// from the shard's string table, copying only on first sight.
   uint32_t idOf(std::string_view Key) {
     auto It = Ids.find(Key);
     if (It != Ids.end())
@@ -144,7 +144,7 @@ public:
   // overhead governor), all zero/empty for unbounded runs and
   // pre-extension files. Serialized as an optional sixth v3 section —
   // schema-additive: older readers never see it on reservoir-free
-  // profiles, and v1/v2 text forms omit it entirely.
+  // profiles, and the v1 text form omits it entirely.
   uint64_t ReservoirCapacity = 0;   ///< Per-thread slots; merge: max.
   uint64_t ReservoirSeen = 0;       ///< Samples offered; merge: sum.
   uint64_t ReservoirEvictions = 0;  ///< Samples dropped; merge: sum.

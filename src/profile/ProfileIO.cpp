@@ -5,10 +5,9 @@
 #include "profile/Profile.h"
 #include "support/Checksum.h"
 #include "support/FaultInjection.h"
-#include "support/MappedFile.h"
+#include "support/ReadFile.h"
 #include "support/VarInt.h"
 
-#include <cassert>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -19,17 +18,8 @@ using namespace structslim;
 using namespace structslim::profile;
 
 static constexpr const char *MagicV1 = "structslim-profile v1";
-static constexpr const char *MagicV2 = "structslim-profile v2";
 static constexpr const char *MagicV3 = "structslim-profile v3";
-static constexpr const char *EndMarker = "end v2";
 static constexpr const char *EndMarkerV3 = "end v3\n";
-
-// The four checksummed sections of the text formats, in file order.
-namespace {
-enum Section : unsigned { SecMeta = 0, SecObject, SecStream, SecCct, NumSections };
-} // namespace
-static constexpr const char *SectionNames[NumSections] = {"meta", "object",
-                                                          "stream", "cct"};
 
 // The sections of the binary v3 layout, in payload order. The first
 // five are always present; "rsvr" (bounded-memory sampling metadata) is
@@ -63,8 +53,8 @@ static constexpr size_t v3HeaderBytes(unsigned Sections) {
 }
 
 // Whitespace-delimited fields cannot hold empty strings; "-" stands in
-// for an empty name/key on disk (text formats only — v3's
-// length-prefixed string table needs no such hack).
+// for an empty name/key on disk (v1 only — v3's length-prefixed string
+// table needs no such hack).
 static std::string encodeName(const std::string &Name) {
   return Name.empty() ? "-" : Name;
 }
@@ -73,12 +63,10 @@ static std::string decodeName(const std::string &Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Writing: shared text sections (v1 records, v2 adds the trailer)
+// Writing: legacy text v1
 //===----------------------------------------------------------------------===//
-// One reserve+append pass into a single buffer. The dump cost lands in
-// the paper's Fig. 4/5 overhead numbers, so no per-section
-// ostringstream churn; the byte stream is identical to the streaming
-// writer's (the fuzz test's re-serialization contract enforces that).
+// One reserve+append pass into a single buffer, no per-section
+// ostringstream churn.
 
 namespace {
 /// Decimal appenders over std::to_chars (all record fields are
@@ -169,7 +157,7 @@ static void appendStreams(std::string &Out, const Profile &P) {
   }
 }
 
-static std::string profileToStringV1(const Profile &P) {
+std::string structslim::profile::profileToStringV1(const Profile &P) {
   std::string Out;
   Out.reserve(128 + 96 * (1 + P.Objects.size() + P.Streams.size() +
                           P.Contexts.size()));
@@ -179,43 +167,6 @@ static std::string profileToStringV1(const Profile &P) {
   appendObjects(Out, P);
   appendStreams(Out, P);
   P.Contexts.append(Out);
-  return Out;
-}
-
-static std::string profileToStringV2(const Profile &P) {
-  std::string Out;
-  Out.reserve(128 + 96 * (1 + P.Objects.size() + P.Streams.size() +
-                          P.Contexts.size()));
-  Out += MagicV2;
-  Out += '\n';
-
-  // Section bodies back to back, with their boundaries recorded so the
-  // trailer can CRC each body in place.
-  size_t Bounds[NumSections + 1];
-  Bounds[0] = Out.size();
-  appendMeta(Out, P);
-  Bounds[1] = Out.size();
-  appendObjects(Out, P);
-  Bounds[2] = Out.size();
-  appendStreams(Out, P);
-  Bounds[3] = Out.size();
-  P.Contexts.append(Out);
-  Bounds[4] = Out.size();
-
-  const size_t Counts[NumSections] = {1, P.Objects.size(), P.Streams.size(),
-                                      P.Contexts.size() - 1};
-  for (unsigned S = 0; S != NumSections; ++S) {
-    Out += "crc ";
-    Out += SectionNames[S];
-    Out += ' ';
-    appendDec(Out, Counts[S]);
-    Out += ' ';
-    Out += support::crc32Hex(
-        support::crc32(Out.data() + Bounds[S], Bounds[S + 1] - Bounds[S]));
-    Out += '\n';
-  }
-  Out += EndMarker;
-  Out += '\n';
   return Out;
 }
 
@@ -253,7 +204,7 @@ inline int64_t wrapDelta(uint64_t A, uint64_t B) {
 }
 } // namespace
 
-static std::string profileToStringV3(const Profile &P) {
+std::string structslim::profile::profileToString(const Profile &P) {
   using support::appendSVarint;
   using support::appendVarint;
 
@@ -421,32 +372,13 @@ static std::string profileToStringV3(const Profile &P) {
   return Out;
 }
 
-std::string structslim::profile::profileToString(const Profile &P,
-                                                 unsigned Version) {
-  switch (Version) {
-  case 1:
-    return profileToStringV1(P);
-  case 2:
-    return profileToStringV2(P);
-  case 3:
-    return profileToStringV3(P);
-  default:
-    assert(false && "unsupported profile format version");
-    return profileToStringV3(P);
-  }
-}
-
-std::string structslim::profile::profileToString(const Profile &P) {
-  return profileToString(P, ProfileFormatVersion);
-}
-
 void structslim::profile::writeProfile(const Profile &P, std::ostream &OS) {
   std::string Out = profileToString(P);
   OS.write(Out.data(), static_cast<std::streamsize>(Out.size()));
 }
 
 //===----------------------------------------------------------------------===//
-// Reading: shared text-record parser (v1 and v2)
+// Reading: legacy text v1
 //===----------------------------------------------------------------------===//
 
 static std::optional<Profile> failParse(std::string *Error,
@@ -457,13 +389,10 @@ static std::optional<Profile> failParse(std::string *Error,
 }
 
 /// Parses one record line whose kind token was already extracted.
-/// Returns false with \p Message set on malformed content; \p Section
-/// reports which checksummed section the record belongs to.
+/// Returns false with \p Message set on malformed content.
 static bool parseRecord(const std::string &Kind, std::istringstream &LS,
-                        Profile &P, bool &SawMeta, unsigned &Section,
-                        std::string &Message) {
+                        Profile &P, bool &SawMeta, std::string &Message) {
   if (Kind == "meta") {
-    Section = SecMeta;
     LS >> P.ThreadId >> P.SamplePeriod >> P.TotalSamples >> P.TotalLatency >>
         P.UnattributedLatency >> P.Instructions >> P.MemoryAccesses >>
         P.Cycles;
@@ -473,7 +402,6 @@ static bool parseRecord(const std::string &Kind, std::istringstream &LS,
     }
     SawMeta = true;
   } else if (Kind == "object") {
-    Section = SecObject;
     ObjectAgg O;
     LS >> O.Key >> O.Name >> O.Start >> O.Size >> O.SampleCount >>
         O.LatencySum;
@@ -485,7 +413,6 @@ static bool parseRecord(const std::string &Kind, std::istringstream &LS,
     O.Name = decodeName(O.Name);
     P.Objects.push_back(std::move(O));
   } else if (Kind == "stream") {
-    Section = SecStream;
     StreamRecord S;
     unsigned AccessSize = 0;
     LS >> S.Ip >> S.ObjectIndex >> S.LoopId >> S.Line >> AccessSize >>
@@ -505,7 +432,6 @@ static bool parseRecord(const std::string &Kind, std::istringstream &LS,
     }
     P.Streams.push_back(std::move(S));
   } else if (Kind == "cctnode") {
-    Section = SecCct;
     uint32_t Parent = 0;
     uint64_t Ip = 0, Latency = 0, Samples = 0;
     LS >> Parent >> Ip >> Latency >> Samples;
@@ -540,93 +466,11 @@ static std::optional<Profile> readProfileV1(std::istream &IS,
     std::istringstream LS(Line);
     std::string Kind;
     LS >> Kind;
-    unsigned Section = 0;
     std::string Message;
-    if (!parseRecord(Kind, LS, P, SawMeta, Section, Message))
+    if (!parseRecord(Kind, LS, P, SawMeta, Message))
       return failParse(Error,
                        "line " + std::to_string(LineNo) + ": " + Message);
   }
-  if (!SawMeta)
-    return failParse(Error, "profile has no meta record");
-  P.markUnindexed();
-  return P;
-}
-
-/// The versioned text reader: records, then one "crc <section> <count>
-/// <crc32hex>" line per section, then the end marker. Content after a
-/// clean trailer, a checksum/count mismatch, or a missing end marker
-/// (truncation) all reject the shard.
-static std::optional<Profile> readProfileV2(std::istream &IS,
-                                            std::string *Error) {
-  Profile P;
-  bool SawMeta = false;
-  uint32_t SectionCrc[NumSections] = {};
-  uint64_t SectionCount[NumSections] = {};
-  bool SectionVerified[NumSections] = {};
-  bool InTrailer = false;
-  bool SawEnd = false;
-  std::string Line;
-  size_t LineNo = 1;
-
-  auto Fail = [&](const std::string &Message) {
-    return failParse(Error, "line " + std::to_string(LineNo) + ": " + Message);
-  };
-
-  while (std::getline(IS, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    if (SawEnd)
-      return Fail("trailing data after end marker");
-    std::istringstream LS(Line);
-    std::string Kind;
-    LS >> Kind;
-    if (Kind == "crc") {
-      InTrailer = true;
-      std::string Name, Hex;
-      uint64_t Count = 0;
-      LS >> Name >> Count >> Hex;
-      if (!LS)
-        return Fail("malformed crc line");
-      unsigned Section = NumSections;
-      for (unsigned S = 0; S != NumSections; ++S)
-        if (Name == SectionNames[S])
-          Section = S;
-      if (Section == NumSections)
-        return Fail("crc line names unknown section '" + Name + "'");
-      if (SectionVerified[Section])
-        return Fail("duplicate crc line for section '" + Name + "'");
-      uint32_t Expected = 0;
-      if (!support::parseCrc32Hex(Hex, Expected))
-        return Fail("malformed crc value '" + Hex + "'");
-      if (Count != SectionCount[Section])
-        return Fail("section '" + Name + "' record count mismatch (header " +
-                    std::to_string(Count) + ", found " +
-                    std::to_string(SectionCount[Section]) + ")");
-      if (Expected != SectionCrc[Section])
-        return Fail("section '" + Name + "' checksum mismatch");
-      SectionVerified[Section] = true;
-    } else if (Line == EndMarker) {
-      for (unsigned S = 0; S != NumSections; ++S)
-        if (!SectionVerified[S])
-          return Fail("incomplete checksum trailer (section '" +
-                      std::string(SectionNames[S]) + "' unverified)");
-      SawEnd = true;
-    } else {
-      if (InTrailer)
-        return Fail("record after checksum trailer");
-      unsigned Section = 0;
-      std::string Message;
-      if (!parseRecord(Kind, LS, P, SawMeta, Section, Message))
-        return Fail(Message);
-      SectionCrc[Section] =
-          support::crc32(Line.data(), Line.size(), SectionCrc[Section]);
-      SectionCrc[Section] = support::crc32("\n", 1, SectionCrc[Section]);
-      ++SectionCount[Section];
-    }
-  }
-  if (!SawEnd)
-    return failParse(Error, "truncated profile (missing end marker)");
   if (!SawMeta)
     return failParse(Error, "profile has no meta record");
   P.markUnindexed();
@@ -904,22 +748,20 @@ structslim::profile::profileFromBytes(std::string_view Data,
     return readProfileV3(Data.substr(MagicLineV3.size()), Error, Interner);
   if (Data == MagicV3) // Cut off right after the magic, newline lost.
     return failParse(Error, "truncated profile (missing end marker)");
-  // The text formats run through the line-oriented readers.
+  // The legacy text format runs through the line-oriented reader.
   std::istringstream IS{std::string(Data)};
   std::string Line;
   if (!std::getline(IS, Line))
     return failParse(Error, "missing profile magic header");
   std::optional<Profile> P;
-  if (Line == MagicV2)
-    P = readProfileV2(IS, Error);
-  else if (Line == MagicV1)
+  if (Line == MagicV1)
     P = readProfileV1(IS, Error);
   else if (Line.rfind("structslim-profile v", 0) == 0)
     return failParse(Error, "unsupported profile format version '" +
                                 Line.substr(20) + "'");
   else
     return failParse(Error, "missing profile magic header");
-  // The text decoders have no string table to intern from; a separate
+  // The text decoder has no string table to intern from; a separate
   // pass keeps the interner contract uniform across versions.
   if (P && Interner)
     P->internObjectKeys(*Interner);
@@ -950,17 +792,12 @@ structslim::profile::readProfileFile(const std::string &Path,
   if (support::FaultInjector::instance().shouldFail(
           support::FaultSite::ProfileOpenRead))
     return failParse(Error, "injected open failure");
-  // Zero-copy: the v3 decoder slices sections straight out of the
-  // mapping (every slice is length-checked against the declared
-  // section sizes, so a truncated file rejects cleanly instead of
-  // faulting). MappedFile degrades to one buffered read when mapping
-  // is unavailable.
-  std::string MapError;
-  std::optional<support::MappedFile> File =
-      support::MappedFile::open(Path, &MapError);
-  if (!File)
+  // One whole-file read; the v3 decoder then slices sections straight
+  // out of the buffer.
+  std::optional<std::string> Bytes = support::readWholeFile(Path);
+  if (!Bytes)
     return failParse(Error, "cannot open file");
-  return profileFromBytes(File->bytes(), Error, Interner);
+  return profileFromBytes(*Bytes, Error, Interner);
 }
 
 bool structslim::profile::writeProfileFile(const Profile &P,

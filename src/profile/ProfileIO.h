@@ -7,15 +7,14 @@
 /// \file
 /// Profile (de)serialization. The online profiler writes one profile
 /// file per thread (paper Sec. 5.1); the offline analyzer reads them
-/// back and merges. Three format versions coexist:
+/// back and merges. Two format versions are readable:
 ///
 ///  - v1: legacy line-oriented text, EOF-terminated, no integrity
-///    trailer (read-only compatibility).
-///  - v2: the same text records framed by a magic+version header, one
-///    CRC-32 + record-count trailer line per section, and an end
-///    marker (read and write on request).
-///  - v3 (default writer): the same framing idea in a compact binary
-///    section layout built for ingest throughput:
+///    trailer (read for backward compatibility: the recorded fixtures
+///    are v1; written only by profileToStringV1).
+///  - v3 (the writer's format): a magic line, then a compact binary
+///    section layout with a checksummed header built for ingest
+///    throughput:
 ///
 ///      structslim-profile v3\n
 ///      u32 section-count (5)                      \  fixed-size binary
@@ -33,9 +32,10 @@
 ///    header, a reader slices one contiguous buffer without scanning —
 ///    single read, zero-copy section views, CRC-checked before decode.
 ///
-/// Readers accept all three versions, dispatching on the magic line.
-/// Torn, truncated, or bit-flipped shards are rejected with a
-/// descriptive error rather than merged as silently wrong data.
+/// Readers dispatch on the magic line. Any other version (the retired
+/// v2 text format included) is rejected as unsupported; torn,
+/// truncated, or bit-flipped v3 shards are rejected with a descriptive
+/// error rather than merged as silently wrong data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,20 +53,15 @@ namespace profile {
 class Profile;
 class ObjectKeyInterner;
 
-/// The profile format version writeProfile emits. readProfile accepts
-/// this and every older version.
-inline constexpr unsigned ProfileFormatVersion = 3;
-
-/// Writes \p P to \p OS in the current (checksummed binary) format.
+/// Writes \p P to \p OS in the current format (checksummed binary v3).
 void writeProfile(const Profile &P, std::ostream &OS);
 
 /// Serializes to a string in the current format.
 std::string profileToString(const Profile &P);
 
-/// Serializes to a string in an explicit format version (1, 2 or 3):
-/// the cross-version tests, the fuzzer, and the format-migration bench
-/// need to produce older shards on demand.
-std::string profileToString(const Profile &P, unsigned Version);
+/// Serializes to a string in the legacy v1 text format: the
+/// cross-version tests and the fuzzer need v1 shards on demand.
+std::string profileToStringV1(const Profile &P);
 
 /// Parses a profile from an in-memory buffer (any supported version,
 /// selected by the magic line); std::nullopt on malformed input (the
@@ -92,9 +87,8 @@ std::optional<Profile> readProfile(std::istream &IS,
 std::optional<Profile> profileFromString(const std::string &Text,
                                          std::string *Error = nullptr);
 
-/// Reads a profile shard from \p Path and decodes it zero-copy from a
-/// read-only memory mapping (support::MappedFile; buffered fallback
-/// when mapping is unavailable or STRUCTSLIM_NO_MMAP is set). Failures
+/// Reads a profile shard from \p Path with one whole-file read
+/// (support::readWholeFile) and decodes it from that buffer. Failures
 /// to open, injected faults (support::FaultSite::ProfileOpenRead), and
 /// parse errors all report through \p Error. \p Interner as in
 /// profileFromBytes.

@@ -67,21 +67,3 @@ std::string support::crc32Hex(uint32_t Crc) {
   }
   return Out;
 }
-
-bool support::parseCrc32Hex(const std::string &Text, uint32_t &Crc) {
-  if (Text.size() != 8)
-    return false;
-  uint32_t Value = 0;
-  for (char C : Text) {
-    uint32_t Digit;
-    if (C >= '0' && C <= '9')
-      Digit = static_cast<uint32_t>(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Digit = static_cast<uint32_t>(C - 'a') + 10;
-    else
-      return false;
-    Value = (Value << 4) | Digit;
-  }
-  Crc = Value;
-  return true;
-}

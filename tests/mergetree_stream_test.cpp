@@ -6,10 +6,10 @@
 // tree's shape is part of the output (Profile::merge is not
 // associative), so serial loading, streaming accumulation and the
 // in-memory level tree all have to reproduce one canonical tree.
-// Also covers: cross-version identity (v1/v2/v3 shards merge to the
-// same bytes), v1->v3 and v2->v3 round-trips, the strict-mode
-// all-or-nothing contract at every job count, and the bounded-memory
-// guarantee (peak resident decoded profiles stays O(jobs + log n)).
+// Also covers: cross-version identity (v1 and v3 shards merge to the
+// same bytes), v1->v3 round-trips, the strict-mode all-or-nothing
+// contract at every job count, and the bounded-memory guarantee (peak
+// resident decoded profiles stays O(jobs + log n)).
 //
 //===----------------------------------------------------------------------===//
 
@@ -93,14 +93,16 @@ protected:
     return Dir;
   }
 
-  /// Writes \p Count shards in format \p Version, returning the paths.
+  /// Writes \p Count shards in format \p Version (1 or 3), returning
+  /// the paths.
   std::vector<std::string> writeShards(const std::string &Dir, unsigned Count,
                                        unsigned Version) {
     std::vector<std::string> Files;
     for (unsigned I = 0; I != Count; ++I) {
       std::string Path = Dir + "/thread" + std::to_string(I) + ".structslim";
+      Profile P = makeShard(I);
       std::ofstream(Path, std::ios::binary)
-          << profileToString(makeShard(I), Version);
+          << (Version == 1 ? profileToStringV1(P) : profileToString(P));
       Files.push_back(Path);
     }
     return Files;
@@ -152,14 +154,14 @@ TEST_F(MergeTreeStream, ShardOrderIsPartOfTheContract) {
               First);
 }
 
-// Cross-version identity: the same logical shards serialized as v1, v2
-// and v3 merge to byte-identical results — the format migration cannot
+// Cross-version identity: the same logical shards serialized as v1 and
+// v3 merge to byte-identical results — the format migration cannot
 // shift any analyzer output.
 TEST_F(MergeTreeStream, AllFormatVersionsMergeIdentically) {
   std::string Dir = scratchDir();
   const unsigned N = 7;
-  std::string Results[3];
-  for (unsigned Version = 1; Version <= 3; ++Version) {
+  std::vector<std::string> Results;
+  for (unsigned Version : {1u, 3u}) {
     std::string SubDir = Dir + "/v" + std::to_string(Version);
     std::filesystem::create_directories(SubDir);
     std::vector<std::string> Files = writeShards(SubDir, N, Version);
@@ -167,25 +169,25 @@ TEST_F(MergeTreeStream, AllFormatVersionsMergeIdentically) {
     Opts.WorkerThreads = 2;
     MergeLoadResult Load = loadAndMergeProfiles(Files, Opts);
     ASSERT_EQ(Load.Loaded.size(), N) << "version " << Version;
-    Results[Version - 1] = profileToString(Load.Merged);
+    Results.push_back(profileToString(Load.Merged));
   }
   EXPECT_EQ(Results[0], Results[1]);
-  EXPECT_EQ(Results[1], Results[2]);
 }
 
-// Round-trips across the version ladder: a profile written in an old
-// format, read back, and re-written in v3 must equal the direct v3
+// Round-trips across the version ladder: a profile written in v1,
+// read back, and re-written in v3 must equal the direct v3
 // serialization (and v3 must round-trip exactly).
 TEST_F(MergeTreeStream, CrossVersionRoundTripsAreExact) {
   for (unsigned Shard = 0; Shard != 4; ++Shard) {
     Profile P = makeShard(Shard);
-    std::string V3 = profileToString(P, 3);
-    for (unsigned Version = 1; Version <= 3; ++Version) {
+    std::string V3 = profileToString(P);
+    for (unsigned Version : {1u, 3u}) {
       std::string Error;
-      auto Back = profileFromString(profileToString(P, Version), &Error);
+      auto Back = profileFromString(
+          Version == 1 ? profileToStringV1(P) : V3, &Error);
       ASSERT_TRUE(Back.has_value())
           << "version " << Version << ": " << Error;
-      EXPECT_EQ(profileToString(*Back, 3), V3) << "version " << Version;
+      EXPECT_EQ(profileToString(*Back), V3) << "version " << Version;
     }
   }
 }
@@ -303,154 +305,5 @@ TEST_F(MergeTreeStream, BatchedMergeMatchesStringMerge) {
     }
     EXPECT_EQ(profileToString(Batched), profileToString(StringMerged))
         << "n=" << N;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// EpochAccumulator: incremental epochs over the same canonical tree.
-//===----------------------------------------------------------------------===//
-
-// Any epoch schedule over a file sequence — one shard at a time,
-// batches, lopsided splits — must leave the accumulator bit-identical
-// to a one-shot loadAndMergeProfiles over the concatenated sequence,
-// at every job count. compact() after each epoch must equal the
-// one-shot merge of the prefix consumed so far.
-TEST_F(MergeTreeStream, EpochSchedulesMatchOneShotMerge) {
-  std::string Dir = scratchDir();
-  const unsigned N = 13;
-  std::vector<std::string> Files = writeShards(Dir, N, 3);
-  const std::vector<std::vector<unsigned>> Schedules = {
-      {13},                      // One epoch == plain one-shot.
-      {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, // Fully incremental.
-      {3, 3, 3, 3, 1},           // Uniform batches with a tail.
-      {1, 12},                   // Lopsided early.
-      {12, 1},                   // Lopsided late.
-      {5, 0, 8},                 // An empty epoch in the middle.
-  };
-  for (unsigned Jobs : {1u, 2u, 4u}) {
-    MergeOptions Opts;
-    Opts.WorkerThreads = Jobs;
-    for (const std::vector<unsigned> &Schedule : Schedules) {
-      EpochAccumulator Acc(Opts);
-      size_t Consumed = 0;
-      for (unsigned Batch : Schedule) {
-        std::vector<std::string> Epoch(Files.begin() + Consumed,
-                                       Files.begin() + Consumed + Batch);
-        MergeLoadResult Result = Acc.addShards(Epoch);
-        EXPECT_FALSE(Result.StrictFailure);
-        ASSERT_EQ(Result.Loaded.size(), Batch);
-        Consumed += Batch;
-        std::vector<std::string> Prefix(Files.begin(),
-                                        Files.begin() + Consumed);
-        EXPECT_EQ(profileToString(Acc.compact()),
-                  profileToString(loadAndMergeProfiles(Prefix, Opts).Merged))
-            << "jobs=" << Jobs << " consumed=" << Consumed;
-        EXPECT_EQ(Acc.shardCount(), Consumed);
-      }
-      EXPECT_EQ(profileToString(Acc.take()),
-                profileToString(loadAndMergeProfiles(Files, Opts).Merged))
-          << "jobs=" << Jobs;
-    }
-  }
-}
-
-// compact() leaves the accumulator intact: repeated compaction returns
-// the same bytes, and appending afterwards behaves as if compact() was
-// never called.
-TEST_F(MergeTreeStream, CompactIsNonDestructive) {
-  std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 9, 3);
-  MergeOptions Opts;
-  Opts.WorkerThreads = 2;
-  EpochAccumulator Acc(Opts);
-  Acc.addShards({Files.begin(), Files.begin() + 5});
-  std::string First = profileToString(Acc.compact());
-  EXPECT_EQ(profileToString(Acc.compact()), First);
-  EXPECT_EQ(Acc.shardCount(), 5u);
-  Acc.addShards({Files.begin() + 5, Files.end()});
-  EXPECT_EQ(profileToString(Acc.take()),
-            profileToString(loadAndMergeProfiles(Files, Opts).Merged));
-}
-
-// take() drains the accumulator: it resets to empty and can be reused
-// for an unrelated shard sequence.
-TEST_F(MergeTreeStream, TakeResetsTheAccumulatorForReuse) {
-  std::string Dir = scratchDir();
-  std::vector<std::string> Files = writeShards(Dir, 8, 3);
-  MergeOptions Opts;
-  Opts.WorkerThreads = 1;
-  EpochAccumulator Acc(Opts);
-  Acc.addShards({Files.begin(), Files.begin() + 3});
-  (void)Acc.take();
-  EXPECT_EQ(Acc.shardCount(), 0u);
-  EXPECT_EQ(Acc.residentProfiles(), 0u);
-  std::vector<std::string> Second(Files.begin() + 3, Files.end());
-  Acc.addShards(Second);
-  EXPECT_EQ(profileToString(Acc.take()),
-            profileToString(loadAndMergeProfiles(Second, Opts).Merged));
-}
-
-// The resident-subtree bound holds across epochs: never more than
-// log2(shards) + 1 merged subtrees on the stack.
-TEST_F(MergeTreeStream, EpochResidentProfilesStayLogarithmic) {
-  std::string Dir = scratchDir();
-  const unsigned N = 64;
-  std::vector<std::string> Files = writeShards(Dir, N, 3);
-  EpochAccumulator Acc;
-  for (unsigned I = 0; I != N; ++I) {
-    Acc.addShards({Files[I]});
-    size_t Bound =
-        static_cast<size_t>(std::floor(std::log2(I + 1))) + 1;
-    EXPECT_LE(Acc.residentProfiles(), Bound) << "after shard " << I;
-  }
-  EXPECT_EQ(Acc.shardCount(), N);
-}
-
-// Strict mode across epochs: a failing epoch restores the accumulator
-// to its pre-call state — the earlier epochs' merge is unchanged, and
-// retrying with the repaired shard list continues as if the failed
-// call never happened. Exercised at both the serial and streaming job
-// counts.
-TEST_F(MergeTreeStream, StrictEpochFailureRestoresPriorState) {
-  for (unsigned Jobs : {1u, 4u}) {
-    std::string Dir = scratchDir();
-    std::vector<std::string> Files = writeShards(Dir, 12, 3);
-    std::string Corrupt = Dir + "/corrupt.structslim";
-    {
-      std::ifstream In(Files[8], std::ios::binary);
-      std::string Bytes((std::istreambuf_iterator<char>(In)),
-                        std::istreambuf_iterator<char>());
-      std::ofstream(Corrupt, std::ios::binary)
-          << Bytes.substr(0, Bytes.size() / 2);
-    }
-    MergeOptions Opts;
-    Opts.Strict = true;
-    Opts.WorkerThreads = Jobs;
-    EpochAccumulator Acc(Opts);
-    MergeLoadResult First =
-        Acc.addShards({Files.begin(), Files.begin() + 6});
-    ASSERT_FALSE(First.StrictFailure);
-    std::string BeforeFailure = profileToString(Acc.compact());
-    size_t ShardsBefore = Acc.shardCount();
-
-    // Epoch 2 aborts on the corrupt shard in the middle.
-    std::vector<std::string> BadEpoch = {Files[6], Corrupt, Files[7]};
-    MergeLoadResult Failed = Acc.addShards(BadEpoch);
-    EXPECT_TRUE(Failed.StrictFailure) << "jobs=" << Jobs;
-    ASSERT_EQ(Failed.Skipped.size(), 1u);
-    EXPECT_EQ(Failed.Skipped[0].Path, Corrupt);
-    EXPECT_FALSE(Failed.Skipped[0].Message.empty());
-    EXPECT_TRUE(Failed.Loaded.empty());
-    EXPECT_EQ(Acc.shardCount(), ShardsBefore);
-    EXPECT_EQ(profileToString(Acc.compact()), BeforeFailure)
-        << "jobs=" << Jobs;
-
-    // A repaired epoch continues to the one-shot answer.
-    MergeLoadResult Retry =
-        Acc.addShards({Files.begin() + 6, Files.end()});
-    ASSERT_FALSE(Retry.StrictFailure);
-    EXPECT_EQ(profileToString(Acc.take()),
-              profileToString(loadAndMergeProfiles(Files, Opts).Merged))
-        << "jobs=" << Jobs;
   }
 }

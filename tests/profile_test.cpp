@@ -241,7 +241,7 @@ TEST(ProfileIO, LoadsShardWithRetiredPipelineCounters) {
   auto P = readProfileFile(Dir + "/tsp_pipeline.thread0.structslim", &Error);
   ASSERT_TRUE(P.has_value()) << Error;
   EXPECT_EQ(P->TotalSamples, 45u);
-  EXPECT_EQ(profileToString(*P, 1), slurp(Dir + "/tsp_pipeline.thread0.v1"));
+  EXPECT_EQ(profileToStringV1(*P), slurp(Dir + "/tsp_pipeline.thread0.v1"));
   std::string Rewritten = profileToString(*P);
   EXPECT_EQ(Shard.size() - Rewritten.size(), 6u);
   auto Back = profileFromString(Rewritten, &Error);
@@ -260,7 +260,7 @@ TEST(ProfileIO, MetaRecordAcceptsEightElevenOrTwelveFields) {
     std::string Error;
     auto P = profileFromString(dropMetaTail(Shard, Drop), &Error);
     ASSERT_TRUE(P.has_value()) << Fields << " fields: " << Error;
-    EXPECT_EQ(profileToString(*P, 1), Canonical) << Fields << " fields";
+    EXPECT_EQ(profileToStringV1(*P), Canonical) << Fields << " fields";
   }
   for (auto [Drop, Fields] : {std::pair<size_t, int>{3, 10}, {4, 9}}) {
     std::string Error;
@@ -274,6 +274,18 @@ TEST(ProfileIO, RejectsMissingMagic) {
   std::string Error;
   EXPECT_FALSE(profileFromString("garbage\n", &Error).has_value());
   EXPECT_NE(Error.find("magic"), std::string::npos);
+}
+
+// The retired v2 text format (v1 records plus a per-section CRC trailer
+// and an end marker) is no longer read: it fails like any unknown
+// version instead of being parsed as something else.
+TEST(ProfileIO, RejectsRetiredV2Format) {
+  std::string Error;
+  std::string Text = "structslim-profile v2\nmeta 0 1 0 0 0 0 0 0\n"
+                     "crc meta 1 00000000\ncrc object 0 00000000\n"
+                     "crc stream 0 00000000\ncrc cct 0 00000000\nend v2\n";
+  EXPECT_FALSE(profileFromString(Text, &Error).has_value());
+  EXPECT_EQ(Error, "unsupported profile format version '2'");
 }
 
 TEST(ProfileIO, RejectsUnknownRecord) {

@@ -6,9 +6,10 @@
 // and random multi-edit mutations — and asserts the reader either
 // returns the exact original profile (differential check against the
 // in-memory copy) or a clean descriptive Error. It must never crash,
-// hang, or accept silently wrong data; the per-section CRC-32 trailer
-// is what makes the last guarantee possible. The legacy v1 format has
-// no checksums, so for it the fuzzer asserts only clean accept/reject.
+// hang, or accept silently wrong data; the per-section CRC-32s in the
+// v3 header are what make the last guarantee possible. The legacy v1
+// format has no checksums, so for it the fuzzer asserts only clean
+// accept/reject.
 //
 // Carries the "sanitize" ctest label: run under ASan+UBSan with
 //   cmake -B build-asan -S . -DSTRUCTSLIM_SANITIZE=ON
@@ -22,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -135,9 +135,7 @@ const std::string &scratchPath() {
 }
 
 /// Writes \p Blob to the scratch file and loads it back through
-/// readProfileFile — the real zero-copy mmap ingestion path. Every
-/// truncation size lands the mapping tail at a different in-page
-/// offset, so this also proves a short final page never faults.
+/// readProfileFile — the real file ingestion path.
 std::optional<Profile> loadViaFile(const std::string &Blob,
                                    std::string *Error) {
   {
@@ -149,8 +147,8 @@ std::optional<Profile> loadViaFile(const std::string &Blob,
 
 /// Parses \p Blob and enforces the fuzz contract against \p Canonical:
 /// exact profile back, or a clean error. Every mutation runs through
-/// both ingestion paths — the in-memory reader and the mmap-backed
-/// file loader — and their verdicts must agree byte for byte.
+/// both ingestion paths — the in-memory reader and the file loader —
+/// and their verdicts must agree byte for byte.
 void checkMutation(const std::string &Blob, const std::string &Canonical) {
   std::string Error;
   auto Parsed = profileFromString(Blob, &Error);
@@ -239,29 +237,6 @@ TEST_P(ProfileIoFuzz, RandomMultiEditMutations) {
   }
 }
 
-// The previous-generation v2 text format stays readable and keeps its
-// integrity contract: the same mutation families against an explicit
-// v2 serialization must yield the exact profile or a clean error.
-TEST_P(ProfileIoFuzz, V2TruncationAndFlipAtEveryOffset) {
-  Rng R(7700 + GetParam());
-  Profile P = makeRandomProfile(R);
-  std::string Canonical = profileToString(P); // Comparison basis (v3).
-  std::string V2 = profileToString(P, 2);
-  {
-    std::string Error;
-    auto Back = profileFromString(V2, &Error);
-    ASSERT_TRUE(Back.has_value()) << Error;
-    EXPECT_EQ(profileToString(*Back), Canonical);
-  }
-  for (size_t Cut = 0; Cut < V2.size(); ++Cut)
-    checkMutation(V2.substr(0, Cut), Canonical);
-  for (size_t Pos = 0; Pos != V2.size(); ++Pos) {
-    std::string Mutated = V2;
-    Mutated[Pos] = static_cast<char>(Mutated[Pos] ^ 0xFF);
-    checkMutation(Mutated, Canonical);
-  }
-}
-
 // Targeted v3 structural mutations: corrupt each fixed-header field
 // (section byte count, record count, per-section CRC) and a byte
 // inside each section payload, located through the header's own
@@ -271,7 +246,7 @@ TEST_P(ProfileIoFuzz, V2TruncationAndFlipAtEveryOffset) {
 TEST_P(ProfileIoFuzz, V3SectionTargetedMutations) {
   Rng R(7700 + GetParam());
   Profile P = makeRandomProfile(R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   const size_t MagicLen = std::string("structslim-profile v3\n").size();
   const size_t NumSections = 5;
   const size_t EntryBytes = 8 + 8 + 4;
@@ -324,9 +299,9 @@ TEST_P(ProfileIoFuzz, V3SectionTargetedMutations) {
 TEST_P(ProfileIoFuzz, ReservoirFreeProfilesKeepFiveSections) {
   Rng R(7700 + GetParam());
   Profile P = makeRandomProfile(R);
-  EXPECT_EQ(v3SectionCount(profileToString(P, 3)), 5u);
+  EXPECT_EQ(v3SectionCount(profileToString(P)), 5u);
   addReservoirFields(P, R);
-  EXPECT_EQ(v3SectionCount(profileToString(P, 3)), 6u);
+  EXPECT_EQ(v3SectionCount(profileToString(P)), 6u);
 }
 
 // Reservoir-bearing blobs obey the same integrity contract as the base
@@ -337,7 +312,7 @@ TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
   Rng R(8800 + GetParam());
   Profile P = makeRandomProfile(R);
   addReservoirFields(P, R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   {
     std::string Error;
     auto Back = profileFromString(Canonical, &Error);
@@ -394,7 +369,7 @@ TEST_P(ProfileIoFuzz, V3ReservoirSectionTargetedMutations) {
 TEST_P(ProfileIoFuzz, LegacyV1MutationsNeverCrash) {
   Rng R(5500 + GetParam());
   Profile P = makeRandomProfile(R);
-  std::string V1 = profileToString(P, 1);
+  std::string V1 = profileToStringV1(P);
   {
     std::string Error;
     auto Back = profileFromString(V1, &Error);
@@ -418,39 +393,33 @@ TEST_P(ProfileIoFuzz, LegacyV1MutationsNeverCrash) {
   }
 }
 
-// The two file-ingestion modes — zero-copy mmap and the buffered
-// fallback (STRUCTSLIM_NO_MMAP=1) — must agree byte for byte on intact
-// blobs and on truncated tails, where the mapping ends mid-page.
-TEST_P(ProfileIoFuzz, MmapAndBufferedFileLoadersAgree) {
-#if defined(__unix__) || defined(__APPLE__)
+// The file loader and the in-memory decoder must agree byte for byte
+// (profile and error message alike) on an intact blob and on
+// truncated tails.
+TEST_P(ProfileIoFuzz, FileLoaderAgreesWithInMemoryDecode) {
   Rng R(6600 + GetParam());
   Profile P = makeRandomProfile(R);
   addReservoirFields(P, R);
-  std::string Canonical = profileToString(P, 3);
+  std::string Canonical = profileToString(P);
   std::vector<std::string> Blobs = {Canonical};
   for (int Trial = 0; Trial != 16; ++Trial)
     Blobs.push_back(Canonical.substr(0, R.nextBelow(Canonical.size())));
   for (const std::string &Blob : Blobs) {
-    std::string MmapError, BufError;
-    ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-    auto ViaMmap = loadViaFile(Blob, &MmapError);
-    ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
-    auto ViaBuffer = loadViaFile(Blob, &BufError);
-    ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-    ASSERT_EQ(ViaMmap.has_value(), ViaBuffer.has_value());
-    if (ViaMmap) {
-      EXPECT_EQ(profileToString(*ViaMmap), profileToString(*ViaBuffer));
-      EXPECT_EQ(profileToString(*ViaMmap), Canonical);
+    std::string FileError, BytesError;
+    auto ViaFile = loadViaFile(Blob, &FileError);
+    auto ViaBytes = profileFromBytes(Blob, &BytesError);
+    ASSERT_EQ(ViaFile.has_value(), ViaBytes.has_value());
+    if (ViaFile) {
+      EXPECT_EQ(profileToString(*ViaFile), profileToString(*ViaBytes));
+      EXPECT_EQ(profileToString(*ViaFile), Canonical);
     } else {
-      EXPECT_EQ(MmapError, BufError);
+      EXPECT_EQ(FileError, BytesError);
     }
   }
-#else
-  GTEST_SKIP() << "no mmap / setenv on this platform";
-#endif
 }
 
 // 8 seeds x (|blob| truncations + |blob| flips + 400 random + 300 v1
 // random) comfortably clears 10,000 distinct mutations per run — and
-// every one of them now exercises the mmap file loader too.
+// every mutation of the checksummed format also goes through the file
+// loader.
 INSTANTIATE_TEST_SUITE_P(Seeded, ProfileIoFuzz, ::testing::Range(0, 8));

@@ -70,6 +70,21 @@ std::string readFileBytes(const std::string &Path) {
   return OS.str();
 }
 
+/// \p Json with the value of every line that differs between two runs
+/// of the same command blanked: the timings and the decode-timing
+/// dependent merge_peak_resident_profiles.
+std::string maskRunDependentValues(const std::string &Json) {
+  std::istringstream In(Json);
+  std::string Out, Line;
+  while (std::getline(In, Line)) {
+    if (Line.find("_seconds\": ") != std::string::npos ||
+        Line.find("\"merge_peak_resident_profiles\": ") != std::string::npos)
+      Line.erase(Line.find("\": ") + 3);
+    Out += Line + "\n";
+  }
+  return Out;
+}
+
 } // namespace
 
 TEST(ReportGolden, V1FixtureReportIsByteIdentical) {
@@ -136,6 +151,37 @@ TEST(ReportGolden, MalformedFaultSeedIsIgnoredWithWarning) {
   Report.erase(At, Warning.size());
   EXPECT_EQ(Report.find("warning:"), std::string::npos) << R.Output;
   EXPECT_EQ(Report, readFileBytes(dataPath("golden_report.txt")));
+}
+
+// The retired v2 format is rejected like any unknown version: --strict
+// fails naming the shard, the default skips it with the version in the
+// warning and merges the rest.
+TEST(ReportGolden, RetiredV2ShardIsRejectedByVersion) {
+  // A v2 shard: v1 records plus a per-section CRC trailer and an end
+  // marker.
+  std::string V2 = ::testing::TempDir() + "report_golden_v2.structslim";
+  std::ofstream(V2, std::ios::binary)
+      << "structslim-profile v2\nmeta 0 1 0 0 0 0 0 0\n"
+         "crc meta 1 00000000\ncrc object 0 00000000\n"
+         "crc stream 0 00000000\ncrc cct 0 00000000\nend v2\n";
+  std::vector<std::string> Args = fixtureShards();
+  Args.push_back(V2);
+  CommandResult Lenient = runReport(Args);
+  EXPECT_EQ(Lenient.ExitCode, 0) << Lenient.Output;
+  EXPECT_NE(Lenient.Output.find("warning: skipping " + V2 +
+                                ": unsupported profile format version '2'"),
+            std::string::npos)
+      << Lenient.Output;
+  EXPECT_NE(Lenient.Output.find("merged 5 profile(s)"), std::string::npos);
+
+  Args.insert(Args.begin(), "--strict");
+  CommandResult Strict = runReport(Args);
+  EXPECT_EQ(Strict.ExitCode, 1) << Strict.Output;
+  EXPECT_NE(Strict.Output.find("error: " + V2 +
+                               ": unsupported profile format version '2'"),
+            std::string::npos)
+      << Strict.Output;
+  EXPECT_EQ(Strict.Output.find("merged"), std::string::npos);
 }
 
 TEST(ReportGolden, AllShardsUnreadableFailsEvenWhenLenient) {
@@ -263,4 +309,22 @@ TEST(ReportParallel, JobCountNeverChangesTheTextReport) {
   EXPECT_EQ(R1.Output, R4.Output);
   // And both still match the checked-in golden byte for byte.
   EXPECT_EQ(R1.Output, readFileBytes(dataPath("golden_report.txt")));
+}
+
+// --jobs beyond the pool's worker count is capped at that count, and
+// the jobs field reports the count the decode really ran with.
+TEST(ReportParallel, JobsAbovePoolSizeAreCappedAndReported) {
+  std::vector<std::string> Eight = {"--jobs=8", "--json"};
+  std::vector<std::string> Two = {"--jobs=2", "--json"};
+  for (const std::string &F : fixtureShards()) {
+    Eight.push_back(F);
+    Two.push_back(F);
+  }
+  CommandResult R8 = runReport(Eight, "STRUCTSLIM_THREADS=2 ");
+  CommandResult R2 = runReport(Two, "STRUCTSLIM_THREADS=2 ");
+  ASSERT_EQ(R8.ExitCode, 0) << R8.Output;
+  ASSERT_EQ(R2.ExitCode, 0) << R2.Output;
+  EXPECT_NE(R8.Output.find("\"jobs\": 2\n"), std::string::npos) << R8.Output;
+  EXPECT_EQ(maskRunDependentValues(R8.Output),
+            maskRunDependentValues(R2.Output));
 }

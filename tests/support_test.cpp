@@ -4,9 +4,9 @@
 #include "support/FlatHash.h"
 #include "support/Error.h"
 #include "support/Format.h"
-#include "support/MappedFile.h"
 #include "support/MathUtil.h"
 #include "support/Random.h"
+#include "support/ReadFile.h"
 #include "support/Stats.h"
 #include "support/VarInt.h"
 #include "support/TablePrinter.h"
@@ -309,12 +309,12 @@ TEST(FlatHash, U64SetHandlesZeroAndDuplicates) {
   EXPECT_TRUE(Set.insert(42));
 }
 
-// --- MappedFile ---------------------------------------------------------
+// --- readWholeFile ------------------------------------------------------
 
 namespace {
 
-std::string mappedFileScratch(const std::string &Name) {
-  return ::testing::TempDir() + "mappedfile_" + Name;
+std::string readFileScratch(const std::string &Name) {
+  return ::testing::TempDir() + "readfile_" + Name;
 }
 
 void writeScratch(const std::string &Path, const std::string &Contents) {
@@ -325,62 +325,27 @@ void writeScratch(const std::string &Path, const std::string &Contents) {
 
 } // namespace
 
-TEST(MappedFile, RoundTripsExactBytes) {
+TEST(ReadWholeFile, RoundTripsExactBytes) {
   std::string Contents("structslim\0binary\xff payload\n", 27);
   Contents += std::string(10000, 'x'); // Spill past one page.
-  std::string Path = mappedFileScratch("roundtrip.bin");
+  std::string Path = readFileScratch("roundtrip.bin");
   writeScratch(Path, Contents);
-  std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  EXPECT_EQ(File->bytes(), std::string_view(Contents));
+  std::optional<std::string> Bytes = support::readWholeFile(Path);
+  ASSERT_TRUE(Bytes.has_value());
+  EXPECT_EQ(*Bytes, Contents);
 }
 
-TEST(MappedFile, MissingFileIsAnError) {
-  std::string Error;
-  auto File =
-      support::MappedFile::open(mappedFileScratch("does_not_exist"), &Error);
-  EXPECT_FALSE(File.has_value());
-  EXPECT_FALSE(Error.empty());
+TEST(ReadWholeFile, MissingFileIsAnError) {
+  EXPECT_FALSE(
+      support::readWholeFile(readFileScratch("does_not_exist")).has_value());
 }
 
-TEST(MappedFile, EmptyFileYieldsEmptyBytes) {
-  std::string Path = mappedFileScratch("empty.bin");
+TEST(ReadWholeFile, EmptyFileYieldsEmptyBytes) {
+  std::string Path = readFileScratch("empty.bin");
   writeScratch(Path, "");
-  std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  EXPECT_TRUE(File->bytes().empty());
-  EXPECT_FALSE(File->isMapped()); // Zero-size mappings are not portable.
-}
-
-TEST(MappedFile, MoveTransfersOwnership) {
-  std::string Path = mappedFileScratch("move.bin");
-  writeScratch(Path, "move me");
-  std::string Error;
-  auto File = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(File.has_value()) << Error;
-  support::MappedFile Stolen = std::move(*File);
-  EXPECT_EQ(Stolen.bytes(), std::string_view("move me"));
-  EXPECT_TRUE(File->bytes().empty()); // Moved-from view is empty, not stale.
-}
-
-TEST(MappedFile, NoMmapEnvForcesBufferedFallback) {
-#if defined(__unix__) || defined(__APPLE__)
-  std::string Path = mappedFileScratch("fallback.bin");
-  writeScratch(Path, "same bytes either way");
-  std::string Error;
-  ASSERT_EQ(::setenv("STRUCTSLIM_NO_MMAP", "1", 1), 0);
-  auto Buffered = support::MappedFile::open(Path, &Error);
-  ASSERT_EQ(::unsetenv("STRUCTSLIM_NO_MMAP"), 0);
-  auto Mapped = support::MappedFile::open(Path, &Error);
-  ASSERT_TRUE(Buffered.has_value());
-  ASSERT_TRUE(Mapped.has_value());
-  EXPECT_FALSE(Buffered->isMapped());
-  EXPECT_EQ(Buffered->bytes(), Mapped->bytes());
-#else
-  GTEST_SKIP() << "no setenv on this platform";
-#endif
+  std::optional<std::string> Bytes = support::readWholeFile(Path);
+  ASSERT_TRUE(Bytes.has_value());
+  EXPECT_TRUE(Bytes->empty());
 }
 
 // --- ThreadPool (also run under ThreadSanitizer) -------------------------

@@ -32,7 +32,9 @@
 //                      on stderr)
 //     --jobs=N         shard decode parallelism (default 0 = auto:
 //                      STRUCTSLIM_THREADS env var, else all host
-//                      cores); output is identical for every setting
+//                      cores; a larger N is capped at that count, which
+//                      --stats/--json report as jobs); output is
+//                      otherwise identical for every setting
 //     --strict         fail on the first unreadable profile instead of
 //                      skipping it with a warning
 //
@@ -54,7 +56,6 @@
 #include "profile/MergeTree.h"
 #include "support/Format.h"
 #include "support/ParseNumber.h"
-#include "support/ThreadPool.h"
 
 #include <chrono>
 #include <iostream>
@@ -73,7 +74,7 @@ struct Options {
   bool Strict = false;
   bool Json = false;
   bool Stats = false;
-  unsigned Jobs = 0; // 0 = auto (see support::ThreadPool).
+  unsigned Jobs = 0; // 0 = auto (see profile::MergeOptions).
   std::vector<std::string> Files;
 };
 
@@ -142,8 +143,6 @@ int main(int argc, char **argv) {
     return usage();
 
   core::ReportStats Stats;
-  Stats.Jobs = Opts.Jobs ? Opts.Jobs : support::ThreadPool::defaultThreadCount();
-
   profile::MergeOptions MergeOpts;
   MergeOpts.Strict = Opts.Strict;
   MergeOpts.WorkerThreads = Opts.Jobs;
@@ -151,6 +150,7 @@ int main(int argc, char **argv) {
   profile::MergeLoadResult Load =
       profile::loadAndMergeProfiles(Opts.Files, MergeOpts);
   Stats.MergeSeconds = secondsSince(MergeBegin);
+  Stats.Jobs = Load.Jobs;
   Stats.MergeLoadSeconds = Load.LoadSeconds;
   Stats.MergeReduceSeconds = Load.ReduceSeconds;
   Stats.PeakResidentProfiles = Load.PeakResidentProfiles;
