@@ -2,6 +2,8 @@
 
 #include "cache/Hierarchy.h"
 
+#include "support/Error.h"
+
 #include <algorithm>
 
 using namespace structslim;
@@ -80,8 +82,12 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &Config,
     OwnedL3 = std::make_unique<SetAssocCache>(Config.L3);
     L3Ptr = OwnedL3.get();
   }
-  // The SetAssocCache constructor already rejected non-power-of-two
-  // line sizes.
+  // Every level is probed with L1 line addresses, so a different line
+  // size below L1 would silently mis-simulate. The SetAssocCache
+  // constructor already rejected non-power-of-two line sizes.
+  if (L2.getConfig().LineSize != Config.L1.LineSize ||
+      L3Ptr->getConfig().LineSize != Config.L1.LineSize)
+    fatalError("L2 and L3 line sizes must equal the L1 line size");
   LineShift = 0;
   while ((1u << LineShift) < Config.L1.LineSize)
     ++LineShift;

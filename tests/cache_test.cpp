@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 using namespace structslim;
 using namespace structslim::cache;
@@ -114,6 +116,30 @@ TEST(SetAssocCache, BadGeometryAborts) {
   CacheConfig C2;
   C2.LineSize = 48;
   EXPECT_DEATH(SetAssocCache{C2}, "power of two");
+}
+
+TEST(SetAssocCache, ZeroAssocAborts) {
+  // Used to divide by zero computing the set count (SIGFPE).
+  CacheConfig C;
+  C.Assoc = 0;
+  EXPECT_DEATH(SetAssocCache{C}, "associativity must be at least 1");
+}
+
+TEST(Hierarchy, LineSizeBelowL1MismatchAborts) {
+  // L2 and L3 are probed with L1 line addresses; any other line size
+  // would silently mis-simulate.
+  HierarchyConfig Cfg;
+  Cfg.L2.LineSize = 128;
+  EXPECT_DEATH(MemoryHierarchy{Cfg}, "line sizes must equal");
+  HierarchyConfig Cfg3;
+  Cfg3.L3.LineSize = 32;
+  EXPECT_DEATH(MemoryHierarchy{Cfg3}, "line sizes must equal");
+  // A shared L3 is checked too, whatever HierarchyConfig::L3 says.
+  HierarchyConfig Shared;
+  CacheConfig Wide = Shared.L3;
+  Wide.LineSize = 128;
+  SetAssocCache SharedL3(Wide);
+  EXPECT_DEATH(MemoryHierarchy(Shared, &SharedL3), "line sizes must equal");
 }
 
 // --- MemoryHierarchy --------------------------------------------------------
@@ -336,12 +362,20 @@ private:
   uint64_t Misses = 0;
 };
 
+/// Drives \p Config's cache and the reference with one random trace.
+/// When \p RenormalizeOneIn is nonzero, the cache's ages are also
+/// renormalized before about one access in that many (drawn from a
+/// separate stream, so the trace itself does not change).
 void compareOnRandomTrace(const cache::CacheConfig &Config, uint64_t Seed,
-                          size_t Accesses, uint64_t AddressSpaceLines) {
+                          size_t Accesses, uint64_t AddressSpaceLines,
+                          uint64_t RenormalizeOneIn = 0) {
   cache::SetAssocCache Soa(Config);
   ShiftLruReference Ref(Config);
   Rng R(Seed);
+  Rng Renormalize(Seed ^ 0x5eed);
   for (size_t I = 0; I != Accesses; ++I) {
+    if (RenormalizeOneIn != 0 && Renormalize.nextBelow(RenormalizeOneIn) == 0)
+      Soa.renormalizeAges();
     uint64_t Line = R.nextBelow(AddressSpaceLines);
     if (R.nextBelow(10) == 0) {
       // ~10% prefetch installs interleaved with demand traffic.
@@ -384,4 +418,75 @@ TEST(SoaCacheEquivalence, DirectMappedAndHighAssoc) {
   compareOnRandomTrace(Direct, 6, 50000, 512);
   cache::CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
   compareOnRandomTrace(Wide, 7, 50000, 64);
+}
+
+TEST(SoaCacheEquivalence, PaperL3GeometryWithPrefetches) {
+  // 20 MB, 16-way: 20,480 sets, not a power of two (modulo indexing),
+  // 192-byte per-set blocks. Footprints of about 1.6x and 6.4x the
+  // capacity; ~10% of the trace is prefetch installs.
+  cache::CacheConfig C{"L3", 20 * 1024 * 1024, 16, 64, 40};
+  compareOnRandomTrace(C, 8, 1000000, 1 << 19);
+  compareOnRandomTrace(C, 9, 400000, 1 << 21);
+}
+
+TEST(SoaCacheEquivalence, RenormalizationMidTraceKeepsLruOrder) {
+  // Ranking ages mid-trace (what the cache does before its 32-bit tick
+  // wraps) must not change a single hit, miss or victim.
+  cache::CacheConfig Tiny{"tiny", 4 * 2 * 64, 2, 64, 1};
+  compareOnRandomTrace(Tiny, 10, 100000, 64, 50);
+  cache::CacheConfig L1{"L1d", 32 * 1024, 8, 64, 4};
+  compareOnRandomTrace(L1, 11, 200000, 4096, 1000);
+  compareOnRandomTrace(L1, 12, 50000, 4096, 1);
+  cache::CacheConfig Npot{"npot", 5 * 4 * 64, 4, 64, 1};
+  compareOnRandomTrace(Npot, 13, 100000, 160, 97);
+  cache::CacheConfig Odd{"odd", 7 * 3 * 64, 3, 64, 1}; // Padded blocks.
+  compareOnRandomTrace(Odd, 14, 100000, 64, 200);
+  cache::CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
+  compareOnRandomTrace(Wide, 15, 50000, 64, 300);
+}
+
+TEST(SoaCacheEquivalence, SharedL3UnderFourRoundRobinHierarchies) {
+  // Four cores share one paper-geometry L3 and take turns in 64-access
+  // slices, as the runtime interleaves them. Every access that reaches
+  // the L3 (served by the L3 or by DRAM) is replayed, in order, on the
+  // reference; its hit/miss must match what the hierarchy reported.
+  HierarchyConfig Cfg;
+  SetAssocCache SharedL3(Cfg.L3);
+  std::vector<std::unique_ptr<MemoryHierarchy>> Cores;
+  std::vector<Rng> Traces;
+  std::vector<uint64_t> Cursor;
+  for (unsigned Core = 0; Core != 4; ++Core) {
+    Cores.push_back(std::make_unique<MemoryHierarchy>(Cfg, &SharedL3));
+    Traces.emplace_back(100 + Core);
+    Cursor.push_back((uint64_t{Core} + 1) << 30);
+  }
+  ShiftLruReference Ref(Cfg.L3);
+  const uint64_t FootprintLines = 1 << 19; // 32 MB of shared data.
+  size_t Replayed = 0;
+  for (unsigned Slice = 0; Slice != 4000; ++Slice) {
+    unsigned Core = Slice % 4;
+    Rng &R = Traces[Core];
+    for (unsigned I = 0; I != 64; ++I) {
+      // Half private sequential 8-byte walk, half random shared lines.
+      uint64_t Addr;
+      if (R.nextBelow(2) == 0) {
+        Addr = Cursor[Core];
+        Cursor[Core] += 8;
+      } else {
+        Addr = R.nextBelow(FootprintLines) * 64 + R.nextBelow(8) * 8;
+      }
+      AccessResult Got = Cores[Core]->access(Addr, 8, false, 1);
+      if (Got.Served != MemLevel::L3 && Got.Served != MemLevel::Dram)
+        continue;
+      bool RefHit = Ref.access(Addr / 64);
+      ASSERT_EQ(Got.Served == MemLevel::L3, RefHit)
+          << "slice " << Slice << " access " << I << " addr " << Addr;
+      ++Replayed;
+    }
+  }
+  EXPECT_GT(Replayed, 100000u);
+  EXPECT_EQ(SharedL3.getHits(), Ref.getHits());
+  EXPECT_EQ(SharedL3.getMisses(), Ref.getMisses());
+  EXPECT_GT(Ref.getHits(), 0u);
+  EXPECT_GT(Ref.getMisses(), 0u);
 }
