@@ -5,13 +5,11 @@
 #include "support/Error.h"
 
 #include <type_traits>
-#include <vector>
 
 using namespace structslim;
 using namespace structslim::cache;
 
-// The MRU filter holds pointers into Storage: a copy would probe the
-// original's blocks, and a moved-from cache would probe the new owner's.
+// A shared L3 is referred to by address from every core's hierarchy.
 static_assert(!std::is_copy_constructible_v<SetAssocCache> &&
                   !std::is_move_constructible_v<SetAssocCache>,
               "SetAssocCache must be neither copied nor moved");
@@ -19,55 +17,38 @@ static_assert(!std::is_copy_constructible_v<SetAssocCache> &&
 SetAssocCache::SetAssocCache(const CacheConfig &Config) : Config(Config) {
   if (Config.LineSize == 0 || (Config.LineSize & (Config.LineSize - 1)))
     fatalError("cache line size must be a power of two");
+  // Tags are LineAddr + 1, which must not wrap.
+  if (Config.LineSize < 2)
+    fatalError("cache line size must be at least 2 bytes");
   if (Config.Assoc == 0)
     fatalError("cache associativity must be at least 1");
+  // The recency order is one nibble per way in a 64-bit word.
+  if (Config.Assoc > 16)
+    fatalError("cache associativity must be at most 16");
   uint64_t Lines = Config.SizeBytes / Config.LineSize;
   if (Lines == 0 || Lines % Config.Assoc != 0)
     fatalError("cache size must be a multiple of assoc * line size");
   NumSets = Lines / Config.Assoc;
   SetMask = (NumSets & (NumSets - 1)) == 0 ? NumSets - 1 : 0;
-  AgesOffset = size_t{Config.Assoc} * sizeof(uint64_t);
-  BlockBytes = (AgesOffset + size_t{Config.Assoc} * sizeof(uint32_t) + 7) &
-               ~size_t{7};
-  // One zero fill: an all-zero block is a set of invalid ways (age 0).
-  // calloc implicitly creates the tag and age arrays each block holds;
-  // each region is only ever accessed as its one type.
+  Identity = ~0ull;
+  for (unsigned P = 0; P != Config.Assoc; ++P)
+    Identity ^= uint64_t{0xF ^ P} << (4 * P);
+  BackShift = 4 * (Config.Assoc - 1);
+  // One zero fill: an all-zero block is the identity order over
+  // invalid ways (tag 0). calloc implicitly creates the uint64_t array.
   constexpr size_t Align = 64;
-  Storage.reset(std::calloc(NumSets * BlockBytes + Align - 1, 1));
+  size_t Bytes = NumSets * (size_t{Config.Assoc} + 1) * sizeof(uint64_t);
+  Storage.reset(std::calloc(Bytes + Align - 1, 1));
   if (!Storage)
     fatalError("out of memory allocating cache '" + Config.Name + "'");
   auto Raw = reinterpret_cast<uintptr_t>(Storage.get());
-  Blocks = reinterpret_cast<unsigned char *>((Raw + Align - 1) & ~(Align - 1));
-  MruTagSlot = tagsOf(Blocks);
-  MruAgeSlot = agesOf(Blocks);
+  Blocks = reinterpret_cast<uint64_t *>((Raw + Align - 1) & ~(Align - 1));
 }
 
 bool SetAssocCache::contains(uint64_t LineAddr) const {
-  unsigned char *Block = blockOf(LineAddr);
-  const uint64_t *Tags = tagsOf(Block);
-  const uint32_t *Ages = agesOf(Block);
+  const uint64_t *Block = blockOf(LineAddr);
   for (unsigned W = 0; W != Config.Assoc; ++W)
-    if (Tags[W] == LineAddr && Ages[W] != 0)
+    if (Block[1 + W] == LineAddr + 1)
       return true;
   return false;
-}
-
-void SetAssocCache::renormalizeAges() {
-  unsigned Assoc = Config.Assoc;
-  std::vector<uint32_t> Old(Assoc);
-  for (uint64_t S = 0; S != NumSets; ++S) {
-    uint32_t *Ages = agesOf(Blocks + S * BlockBytes);
-    Old.assign(Ages, Ages + Assoc);
-    // Valid ages within a set are distinct, so a way's rank is one plus
-    // the number of valid ways touched before it.
-    for (unsigned W = 0; W != Assoc; ++W) {
-      if (Old[W] == 0)
-        continue;
-      uint32_t Rank = 1;
-      for (unsigned V = 0; V != Assoc; ++V)
-        Rank += Old[V] != 0 && Old[V] < Old[W];
-      Ages[W] = Rank;
-    }
-  }
-  Tick = Assoc;
 }

@@ -10,21 +10,32 @@
 /// (32 KB L1d, 256 KB L2 private; 20 MB L3 shared). Hit/miss counters
 /// double as the hardware event counters the paper reads for Table 4.
 ///
-/// Way state is laid out by affinity: every probe reads one set's tags
-/// and ages together, so each set owns one contiguous block
-/// `[Assoc x uint64 tag][Assoc x uint32 age]` (padded to 8 bytes) in a
-/// single 64-byte-aligned, zero-filled allocation — 192 B for the
-/// 16-way L3, 96 B for an 8-way L1/L2. Recency is an age per way: a
-/// way's age is the cache-wide tick at its last touch, age 0 marks an
-/// invalid way, and larger means more recent. Touching a line is one
-/// age store instead of an O(assoc) shift of way records, and eviction
-/// order — least recent first, invalid ways before any valid way — is
-/// exactly the order the shift-based model maintained, so hit/miss
-/// sequences are bit-identical to it. One tick serves every set because
-/// only the age order within a set matters and a global tick, like a
-/// per-set one, only grows. Before the 32-bit tick would wrap,
-/// renormalizeAges() ranks each set's valid ways 1..k in age order and
-/// restarts the tick at Assoc; the order, and so every victim, is kept.
+/// Way state is laid out by affinity: every probe reads one set's
+/// recency order and tags together, so each set owns one contiguous
+/// block `[order word][Assoc x uint64 tag]` in a single 64-byte-aligned,
+/// zero-filled allocation — 136 B for the 16-way L3, 72 B for an 8-way
+/// L1/L2.
+///
+/// Order word: nibble p holds the way at recency position p (0 is the
+/// most recent), so associativity is at most 16. The word is stored
+/// XOR an identity constant, so a zeroed word decodes to the order
+/// 0, 1, ..., Assoc-1; nibbles at and above Assoc hold 0xF, which
+/// matches no way. A hit on way w finds w's position with a SWAR
+/// zero-nibble test and moves it to the front with two masks; a miss
+/// evicts the way at position Assoc-1 in O(1) and moves it to the
+/// front. Nothing promotes a way that was never filled, so invalid
+/// ways stay at the back, in identity order, and are evicted before
+/// any valid way: the victims are exactly those of the shift-based LRU
+/// model this replaces.
+///
+/// Tags store LineAddr + 1, so tag 0 is an invalid way and a zeroed
+/// block is a set of invalid ways. The +1 never wraps because line
+/// addresses are byte addresses shifted right by log2(LineSize) >= 1.
+///
+/// MRU rule: the line access() touched last sits at position 0 of its
+/// set, and only an access to that set (which moves the filter) or a
+/// prefetch install (which clears it) can change that, so a repeat
+/// access is a hit with no state change.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +60,7 @@ struct CacheConfig {
 };
 
 /// One cache level. Addresses are pre-shifted line addresses. Neither
-/// copyable nor movable: the MRU filter points into the way-state
-/// allocation, and a shared L3 is referred to by address.
+/// copyable nor movable: a shared L3 is referred to by address.
 class SetAssocCache {
 public:
   explicit SetAssocCache(const CacheConfig &Config);
@@ -60,64 +70,36 @@ public:
   /// Looks up \p LineAddr; on miss, installs it (evicting LRU).
   /// Returns true on hit. Counts the access.
   bool access(uint64_t LineAddr) {
-    // MRU memoization: spatially local streams touch the same line
-    // back to back, and a line occupies exactly one way until evicted,
-    // so a revalidated (tag still matches, way still valid) MRU hit
-    // performs the identical state mutation the scan would — one age
-    // store — without the O(assoc) tag scan.
-    if (LineAddr == MruTag && *MruTagSlot == LineAddr && *MruAgeSlot != 0) {
-      *MruAgeSlot = nextTick();
+    uint64_t Tag = LineAddr + 1;
+    if (Tag == MruTag) {
       ++Hits;
       return true;
     }
-    unsigned char *Block = blockOf(LineAddr);
-    uint64_t *Tags = tagsOf(Block);
-    uint32_t *Ages = agesOf(Block);
-    uint32_t Tick = nextTick();
-    for (unsigned W = 0; W != Config.Assoc; ++W) {
-      if (Tags[W] == LineAddr && Ages[W] != 0) {
-        Ages[W] = Tick;
-        MruTag = LineAddr;
-        MruTagSlot = &Tags[W];
-        MruAgeSlot = &Ages[W];
-        ++Hits;
-        return true;
-      }
+    MruTag = Tag;
+    uint64_t *Block = blockOf(LineAddr);
+    if (touch(Block, Tag)) {
+      ++Hits;
+      return true;
     }
     ++Misses;
-    unsigned W = installAt(Tags, Ages, LineAddr, Tick);
-    MruTag = LineAddr;
-    MruTagSlot = &Tags[W];
-    MruAgeSlot = &Ages[W];
+    install(Block, Tag);
     return false;
   }
 
   /// Installs \p LineAddr without counting a demand access (prefetch
   /// fill). No-op when already present (refreshes LRU).
   void installPrefetch(uint64_t LineAddr) {
-    unsigned char *Block = blockOf(LineAddr);
-    uint64_t *Tags = tagsOf(Block);
-    uint32_t *Ages = agesOf(Block);
-    uint32_t Tick = nextTick();
-    for (unsigned W = 0; W != Config.Assoc; ++W) {
-      if (Tags[W] == LineAddr && Ages[W] != 0) {
-        Ages[W] = Tick;
-        return;
-      }
-    }
-    installAt(Tags, Ages, LineAddr, Tick);
+    MruTag = 0; // May reorder or evict the MRU line's set.
+    uint64_t Tag = LineAddr + 1;
+    uint64_t *Block = blockOf(LineAddr);
+    if (touch(Block, Tag))
+      return;
+    install(Block, Tag);
     ++PrefetchFills;
   }
 
   /// Lookup without side effects.
   bool contains(uint64_t LineAddr) const;
-
-  /// Rewrites every set's ages to their ranks — valid ways 1..k in
-  /// recency order, invalid ways left at 0 — and restarts the tick at
-  /// Assoc. Recency order within each set, and so every later hit,
-  /// miss and victim, is unchanged. Runs automatically before the tick
-  /// would pass UINT32_MAX; callable at any point.
-  void renormalizeAges();
 
   const CacheConfig &getConfig() const { return Config; }
   uint64_t getHits() const { return Hits; }
@@ -132,6 +114,9 @@ public:
   void resetCounters() { Hits = Misses = PrefetchFills = 0; }
 
 private:
+  static constexpr uint64_t NibbleOnes = 0x1111111111111111ull;
+  static constexpr uint64_t NibbleHighs = 0x8888888888888888ull;
+
   // Sets are indexed by modulo so non-power-of-two geometries (like a
   // 20 MB 16-way L3) work; tags store the full line address. The
   // power-of-two geometries (L1, L2) take the mask path — same index,
@@ -141,38 +126,43 @@ private:
                                             : LineAddr % NumSets);
   }
 
-  unsigned char *blockOf(uint64_t LineAddr) const {
-    return Blocks + setIndex(LineAddr) * BlockBytes;
-  }
-  static uint64_t *tagsOf(unsigned char *Block) {
-    return reinterpret_cast<uint64_t *>(Block);
-  }
-  uint32_t *agesOf(unsigned char *Block) const {
-    return reinterpret_cast<uint32_t *>(Block + AgesOffset);
+  /// A set's block: word 0 is the encoded order, words 1..Assoc the tags.
+  uint64_t *blockOf(uint64_t LineAddr) const {
+    return Blocks + setIndex(LineAddr) * (size_t{Config.Assoc} + 1);
   }
 
-  uint32_t nextTick() {
-    if (Tick == UINT32_MAX) [[unlikely]]
-      renormalizeAges();
-    return ++Tick;
-  }
-
-  /// Evicts the LRU way of the set (invalid ways first, as the shift
-  /// model's back-of-array position held them) and installs \p LineAddr
-  /// with recency \p Tick. Returns the filled way.
-  unsigned installAt(uint64_t *Tags, uint32_t *Ages, uint64_t LineAddr,
-                     uint32_t Tick) {
-    unsigned Victim = 0;
-    uint32_t Oldest = Ages[0];
-    for (unsigned W = 1; W != Config.Assoc; ++W) {
-      if (Ages[W] < Oldest) {
-        Oldest = Ages[W];
-        Victim = W;
+  /// On a tag match, moves the way to the front and returns true.
+  bool touch(uint64_t *Block, uint64_t Tag) {
+    for (unsigned W = 0; W != Config.Assoc; ++W) {
+      if (Block[1 + W] == Tag) {
+        uint64_t Order = Block[0] ^ Identity;
+        // W occupies exactly one nibble below Assoc and matches no
+        // unused one, so the lowest zero nibble of X is W's position.
+        uint64_t X = Order ^ (W * NibbleOnes);
+        uint64_t Zero = (X - NibbleOnes) & ~X & NibbleHighs;
+        unsigned Shift = static_cast<unsigned>(__builtin_ctzll(Zero)) - 3;
+        moveToFront(Block, Order, Shift, W);
+        return true;
       }
     }
-    Tags[Victim] = LineAddr;
-    Ages[Victim] = Tick;
-    return Victim;
+    return false;
+  }
+
+  /// Evicts the way at the back of the order and refills it with \p Tag.
+  void install(uint64_t *Block, uint64_t Tag) {
+    uint64_t Order = Block[0] ^ Identity;
+    unsigned Victim = static_cast<unsigned>(Order >> BackShift) & 0xF;
+    Block[1 + Victim] = Tag;
+    moveToFront(Block, Order, BackShift, Victim);
+  }
+
+  /// Moves way \p W from nibble Shift/4 to nibble 0; the ways in front
+  /// of it each move back one position.
+  void moveToFront(uint64_t *Block, uint64_t Order, unsigned Shift,
+                   uint64_t W) {
+    uint64_t UpTo = ~0ull >> (60 - Shift); // Nibbles 0..Shift/4.
+    Order = (Order & ~UpTo) | ((Order << 4) & UpTo) | W;
+    Block[0] = Order ^ Identity;
   }
 
   struct FreeDeleter {
@@ -182,17 +172,13 @@ private:
   CacheConfig Config;
   uint64_t NumSets;
   uint64_t SetMask; ///< NumSets - 1 when NumSets is a power of two, else 0.
-  size_t BlockBytes; ///< Per-set block: tags, then ages, padded to 8 B.
-  size_t AgesOffset; ///< Assoc * 8: where a block's ages start.
+  uint64_t Identity; ///< Nibble p is p below Assoc, 0xF at and above.
+  unsigned BackShift; ///< 4 * (Assoc - 1): the LRU position's nibble.
   std::unique_ptr<void, FreeDeleter> Storage; ///< Owns the allocation.
-  unsigned char *Blocks = nullptr; ///< Storage, 64-byte aligned.
-  uint32_t Tick = 0; ///< Cache-wide touch counter; ages are ticks.
-  // MRU filter for access(): last line that hit or was installed, and
-  // the tag and age slots holding it. Revalidated on use (staleness
-  // after an eviction just falls back to the scan).
-  uint64_t MruTag = ~0ull;
-  uint64_t *MruTagSlot = nullptr;
-  uint32_t *MruAgeSlot = nullptr;
+  uint64_t *Blocks = nullptr; ///< Storage, 64-byte aligned.
+  /// MRU filter for access(): the tag of the last line it touched, or
+  /// 0 (no line) after a prefetch install.
+  uint64_t MruTag = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   uint64_t PrefetchFills = 0;

@@ -10,11 +10,8 @@ using namespace structslim::mem;
 
 SimMemory::Page &SimMemory::getOrCreatePage(uint64_t PageIndex) {
   auto &Slot = Pages[PageIndex];
-  if (!Slot) {
-    Slot = std::make_unique<Page>();
-    Slot->fill(0);
-    ++Epoch;
-  }
+  if (!Slot)
+    Slot = std::make_unique<Page>(); // Value-initialized: all zero.
   return *Slot;
 }
 

@@ -125,6 +125,25 @@ TEST(SetAssocCache, ZeroAssocAborts) {
   EXPECT_DEATH(SetAssocCache{C}, "associativity must be at least 1");
 }
 
+TEST(SetAssocCache, AssocAboveSixteenAborts) {
+  // The recency order is one nibble per way in a 64-bit word.
+  CacheConfig C;
+  C.SizeBytes = 17 * 64 * 4;
+  C.Assoc = 17;
+  C.LineSize = 64;
+  EXPECT_DEATH(SetAssocCache{C}, "associativity must be at most 16");
+}
+
+TEST(SetAssocCache, OneByteLinesAbort) {
+  // Tags are LineAddr + 1; with 1-byte lines a line address can be
+  // UINT64_MAX and its tag would wrap to 0, the invalid tag.
+  CacheConfig C;
+  C.SizeBytes = 1024;
+  C.Assoc = 8;
+  C.LineSize = 1;
+  EXPECT_DEATH(SetAssocCache{C}, "line size must be at least 2 bytes");
+}
+
 TEST(Hierarchy, LineSizeBelowL1MismatchAborts) {
   // L2 and L3 are probed with L1 line addresses; any other line size
   // would silently mis-simulate.
@@ -363,19 +382,12 @@ private:
 };
 
 /// Drives \p Config's cache and the reference with one random trace.
-/// When \p RenormalizeOneIn is nonzero, the cache's ages are also
-/// renormalized before about one access in that many (drawn from a
-/// separate stream, so the trace itself does not change).
 void compareOnRandomTrace(const cache::CacheConfig &Config, uint64_t Seed,
-                          size_t Accesses, uint64_t AddressSpaceLines,
-                          uint64_t RenormalizeOneIn = 0) {
+                          size_t Accesses, uint64_t AddressSpaceLines) {
   cache::SetAssocCache Soa(Config);
   ShiftLruReference Ref(Config);
   Rng R(Seed);
-  Rng Renormalize(Seed ^ 0x5eed);
   for (size_t I = 0; I != Accesses; ++I) {
-    if (RenormalizeOneIn != 0 && Renormalize.nextBelow(RenormalizeOneIn) == 0)
-      Soa.renormalizeAges();
     uint64_t Line = R.nextBelow(AddressSpaceLines);
     if (R.nextBelow(10) == 0) {
       // ~10% prefetch installs interleaved with demand traffic.
@@ -414,35 +426,57 @@ TEST(SoaCacheEquivalence, NonPowerOfTwoSets) {
 }
 
 TEST(SoaCacheEquivalence, DirectMappedAndHighAssoc) {
+  // One way: the order word holds a single nibble. Three ways: nibbles
+  // 3..15 are unused (0xF); 7 sets also take the modulo index. Sixteen
+  // ways: every nibble is used, and a hit at position 15 moves the
+  // whole word (footprints just above 16 lines per set make those hits
+  // common).
   cache::CacheConfig Direct{"direct", 64 * 64, 1, 64, 1};
   compareOnRandomTrace(Direct, 6, 50000, 512);
+  cache::CacheConfig Odd{"odd", 7 * 3 * 64, 3, 64, 1};
+  compareOnRandomTrace(Odd, 21, 100000, 64);
+  compareOnRandomTrace(Odd, 22, 100000, 24);
   cache::CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
   compareOnRandomTrace(Wide, 7, 50000, 64);
+  compareOnRandomTrace(Wide, 23, 100000, 17);
+  cache::CacheConfig Wide2{"wide2", 2 * 16 * 64, 16, 64, 1};
+  compareOnRandomTrace(Wide2, 24, 100000, 34);
 }
 
 TEST(SoaCacheEquivalence, PaperL3GeometryWithPrefetches) {
   // 20 MB, 16-way: 20,480 sets, not a power of two (modulo indexing),
-  // 192-byte per-set blocks. Footprints of about 1.6x and 6.4x the
+  // 136-byte per-set blocks. Footprints of about 1.6x and 6.4x the
   // capacity; ~10% of the trace is prefetch installs.
   cache::CacheConfig C{"L3", 20 * 1024 * 1024, 16, 64, 40};
   compareOnRandomTrace(C, 8, 1000000, 1 << 19);
   compareOnRandomTrace(C, 9, 400000, 1 << 21);
 }
 
-TEST(SoaCacheEquivalence, RenormalizationMidTraceKeepsLruOrder) {
-  // Ranking ages mid-trace (what the cache does before its 32-bit tick
-  // wraps) must not change a single hit, miss or victim.
-  cache::CacheConfig Tiny{"tiny", 4 * 2 * 64, 2, 64, 1};
-  compareOnRandomTrace(Tiny, 10, 100000, 64, 50);
-  cache::CacheConfig L1{"L1d", 32 * 1024, 8, 64, 4};
-  compareOnRandomTrace(L1, 11, 200000, 4096, 1000);
-  compareOnRandomTrace(L1, 12, 50000, 4096, 1);
-  cache::CacheConfig Npot{"npot", 5 * 4 * 64, 4, 64, 1};
-  compareOnRandomTrace(Npot, 13, 100000, 160, 97);
-  cache::CacheConfig Odd{"odd", 7 * 3 * 64, 3, 64, 1}; // Padded blocks.
-  compareOnRandomTrace(Odd, 14, 100000, 64, 200);
-  cache::CacheConfig Wide{"wide", 16 * 64, 16, 64, 1};
-  compareOnRandomTrace(Wide, 15, 50000, 64, 300);
+TEST(SoaCacheEquivalence, PrefetchIntoTheMruLinesSetClearsTheFilter) {
+  // access(X) leaves X as the MRU filter's line; a prefetch install
+  // into X's set can evict it, and the next access(X) must then miss
+  // as the reference does, not take the filter's repeat-hit path.
+  auto Replay = [](const cache::CacheConfig &C,
+                   const std::vector<uint64_t> &Prefetches) {
+    cache::SetAssocCache Soa(C);
+    ShiftLruReference Ref(C);
+    const uint64_t X = 5;
+    EXPECT_EQ(Soa.access(X), Ref.access(X));
+    for (uint64_t Y : Prefetches) {
+      Soa.installPrefetch(Y);
+      Ref.installPrefetch(Y);
+    }
+    EXPECT_EQ(Soa.access(X), Ref.access(X)) << C.Name;
+    EXPECT_EQ(Soa.getHits(), Ref.getHits()) << C.Name;
+    EXPECT_EQ(Soa.getMisses(), Ref.getMisses()) << C.Name;
+  };
+  // Direct-mapped, 4 sets: line 9 shares X's set and evicts it.
+  Replay({"direct", 4 * 64, 1, 64, 1}, {9});
+  // Two-way, 4 sets: lines 9 and 13 both land in X's set; the second
+  // install evicts X.
+  Replay({"2way", 8 * 64, 2, 64, 1}, {9, 13});
+  // Two-way with one install: X is only demoted and still hits.
+  Replay({"2way", 8 * 64, 2, 64, 1}, {9});
 }
 
 TEST(SoaCacheEquivalence, SharedL3UnderFourRoundRobinHierarchies) {
